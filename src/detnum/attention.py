@@ -7,8 +7,6 @@ two-layer MLP (c → c/r → c, ReLU between, r = 16 by default, hidden width
 clamped to at least 1), weights σ(MLP(avg) + MLP(max)) applied as x ⊗ w_c.
 
 The cascade runs channel first, then spatial on the channel-refined tensor.
-A parallel (sum-of-maps) composition is provided purely as a foil so the
-order-sensitivity of the cascade is testable.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
+from ._common import frozen_array
 from .tensor import (Conv2DParams, FeatureTensor, channel_pool, conv2d,
                      hadamard, sigmoid, spatial_pool)
 
@@ -26,7 +25,7 @@ __all__ = [
     "ChannelAttnParams", "SpatialAttnParams", "CBAMResult",
     "channel_attention_weights", "apply_channel",
     "spatial_attention_map", "apply_spatial",
-    "cbam", "parallel_attention",
+    "cbam",
 ]
 
 
@@ -64,9 +63,7 @@ class ChannelAttnParams:
             if not np.isfinite(a).all():
                 raise ValueError("MLP parameters must be finite")
         for name, a in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            arr = np.array(a, order="C")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(a))
         object.__setattr__(self, "reduction_ratio", int(self.reduction_ratio))
 
     @property
@@ -161,14 +158,3 @@ def cbam(x: FeatureTensor, cp: ChannelAttnParams, sp: SpatialAttnParams) -> CBAM
     smap = spatial_attention_map(refined, sp)
     return CBAMResult(hadamard(refined, smap), weights, smap)
 
-
-def parallel_attention(x: FeatureTensor, cp: ChannelAttnParams,
-                       sp: SpatialAttnParams) -> FeatureTensor:
-    """Foil composition: both gates computed from x, applied as a summed map.
-
-    Kept only so tests can demonstrate the cascade is order-sensitive; this
-    is not part of the attention block proper.
-    """
-    wc = channel_attention_weights(x, cp)
-    ms = spatial_attention_map(x, sp)
-    return FeatureTensor(x.data * (wc.data + ms.data))

@@ -17,15 +17,13 @@ gradcheck, attn-demo.
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
 import math
 import os
 import sys
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._common import data_lines, dumps, fmt
 from .attention import ChannelAttnParams, SpatialAttnParams, cbam
 from .boxes import AABox
 from .fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
@@ -34,8 +32,8 @@ from .losses import (DEFAULT_THETA, GRADIENT_KINDS, loss_gradient, loss_value,
                      singularity_reasons)
 from .tensor import FeatureTensor, conv2d, read_tensor_blob, write_blob
 from .transport import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, DEFAULT_TOL,
-                        MatchConfig, build_cost_matrix, exact_kp, exact_mp,
-                        match, round_plan, sinkhorn)
+                        MatchConfig, build_cost_matrix, exact_injection,
+                        exact_kp, exact_mp, match, round_plan, sinkhorn)
 from . import metrics
 from . import robustness
 
@@ -48,57 +46,18 @@ DEFAULT_SEED = 42
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
-def _sanitize(obj):
-    """Make a payload json.dumps-safe (non-finite floats become strings)."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
-    return obj
-
-
-def _dump(d: dict) -> str:
-    return json.dumps(_sanitize(d), sort_keys=True)
-
-
 def _config(**kw) -> None:
-    print("# config " + _dump(kw))
+    print("# config " + dumps(kw))
 
 
 def _summary(**kw) -> None:
-    print("# summary " + _dump(kw))
+    print("# summary " + dumps(kw))
 
 
 def _table(header: str, rows) -> None:
     print(header)
     for row in rows:
-        print(",".join(_fmt(c) for c in row))
+        print(",".join(fmt(c) for c in row))
 
 
 def _base(path) -> str | None:
@@ -124,11 +83,7 @@ def _parse_pairs_file(path) -> list[tuple[AABox, AABox]]:
     """Box-pair lines: p_cx p_cy p_w p_h g_cx g_cy g_w g_h."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, parts in data_lines(fh):
             if len(parts) != 8:
                 raise ValueError(
                     f"{_base(path)}:{lineno}: expected 8 numbers per pair, got {len(parts)}")
@@ -199,7 +154,7 @@ def cmd_match(args) -> int:
         for (i, j), b in zip(res.assignment.pairs, res.breakdowns)
     ]
     if args.format == "json":
-        print(_dump({
+        print(dumps({
             "pairs": [{"pred": i, "gt": j, "total": b.total}
                       for (i, j), b in zip(res.assignment.pairs, res.breakdowns)],
             "unmatched_predictions": list(res.assignment.unmatched_predictions),
@@ -248,22 +203,8 @@ def _verify_square(problem, tp) -> tuple[list, dict]:
 
 def _verify_rect(problem, tp) -> tuple[list, dict]:
     n, m = problem.n, problem.m
-    k, big = min(n, m), max(n, m)
-    count = math.perm(big, k)
-    if k > 8 or count > 500_000:
-        raise ValueError(
-            f"injection oracle supports min side <= 8 and <= 500000 maps, "
-            f"got {n}x{m} ({count} maps)")
-    best = math.inf
-    for sel in itertools.permutations(range(big), k):
-        if n <= m:
-            total = sum(problem.cost[i, sel[i]] for i in range(k))
-        else:
-            total = sum(problem.cost[sel[j], j] for j in range(k))
-        if total < best:
-            best = float(total)
-    ri, ci = linear_sum_assignment(problem.cost)
-    hung = float(problem.cost[ri, ci].sum())
+    k = min(n, m)
+    best, hung = exact_injection(problem)
     gap = abs(best - hung)
     kp = exact_kp(problem)
     ok = bool(gap <= 1e-9 * k)
@@ -333,15 +274,11 @@ def cmd_eval(args) -> int:
 def _parse_outcomes_file(path) -> dict[float, str]:
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, parts in data_lines(fh):
             if len(parts) != 2 or parts[1] not in robustness.OUTCOMES:
                 raise ValueError(
                     f"{_base(path)}:{lineno}: expected `level outcome` with outcome "
-                    f"in {robustness.OUTCOMES}, got {line!r}")
+                    f"in {robustness.OUTCOMES}, got {' '.join(parts)!r}")
             table[round(float(parts[0]), 12)] = parts[1]
     return table
 
@@ -405,7 +342,7 @@ def cmd_sweep(args) -> int:
             seed=args.seed)
     result = robustness.sweep(img, cfg, scorer)
     if args.format == "json":
-        print(_dump({
+        print(dumps({
             "entries": [{"level": e.level, "psnr_db": e.psnr_db,
                          "outcome": e.outcome} for e in result.entries],
             "bands": robustness.bands_to_json(result),

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import frozen_array
 from .tensor import Conv2DParams, FeatureTensor, conv2d
 
 __all__ = [
@@ -33,12 +34,6 @@ __all__ = [
     "batchnorm", "fold_bn", "fusion_block", "fold_fusion_block",
     "random_conv_params",
 ]
-
-
-def _frozen_array(x) -> np.ndarray:
-    a = np.array(x, dtype=float, order="C")
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +64,10 @@ class BNParams:
             raise ValueError("var entries must be >= 0")
         if (var + eps <= 0.0).any():
             raise ValueError("var + eps must be > 0 on every channel")
-        object.__setattr__(self, "mu", _frozen_array(mu))
-        object.__setattr__(self, "var", _frozen_array(var))
-        object.__setattr__(self, "gamma", _frozen_array(gamma))
-        object.__setattr__(self, "beta", _frozen_array(beta))
+        object.__setattr__(self, "mu", frozen_array(mu))
+        object.__setattr__(self, "var", frozen_array(var))
+        object.__setattr__(self, "gamma", frozen_array(gamma))
+        object.__setattr__(self, "beta", frozen_array(beta))
         object.__setattr__(self, "eps", eps)
 
     @property

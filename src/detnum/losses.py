@@ -113,13 +113,14 @@ def _corners(f):
 def _angle_core(pf, gf):
     dx = gf[0] - pf[0]
     dy = gf[1] - pf[1]
-    sigma = dm.sqrt(dx * dx + dy * dy)
-    if dm.value(sigma) < _SIGMA_TINY:
+    d2 = dx * dx + dy * dy
+    if math.sqrt(dm.value(d2)) < _SIGMA_TINY:
         # coincident centers: x = 0/0 is undefined; 0 is the limit along
         # axis-aligned approach paths and the distance cost vanishes here
-        # anyway, so Λ's value is inert
+        # anyway, so Λ's value is inert. Tested before the square root,
+        # whose derivative is a division by zero at 0.
         return 0.0
-    x = dm.fabs(dy) / sigma
+    x = dm.fabs(dy) / dm.sqrt(d2)
     x = dm.vmin(x, _X_CLAMP)  # keep arcsin' finite at the x = 1 endpoint
     return dm.cos(2.0 * (dm.arcsin(x) - math.pi / 4.0))
 

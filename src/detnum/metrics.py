@@ -3,8 +3,9 @@
 Matching protocol (the standard one): within each class, detections are
 taken in confidence-descending order (ties by insertion order); each
 detection matches the highest-IoU not-yet-matched ground truth of its class
-in its image when that IoU clears the threshold, otherwise it counts as a
-false positive — duplicates on an already-matched gt are false positives.
+in its image when that IoU clears the threshold (of equally overlapping
+gts, the one listed first), otherwise it counts as a false positive —
+duplicates on an already-matched gt are false positives.
 
 AP integrates the precision envelope over recall (all-points
 interpolation); the legacy 11-point variant sits behind a flag. The
@@ -19,12 +20,11 @@ starting with '#' are skipped.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from ._common import data_lines, dumps, fmt
 from .boxes import AABox, iou as _box_iou
 
 __all__ = [
@@ -256,11 +256,7 @@ def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
 def parse_records(lines, *, source: str = "<records>") -> list[DetectionRecord]:
     """Parse `image_id class_id cx cy w h [confidence]` lines."""
     out = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in data_lines(lines):
         if len(parts) not in (6, 7):
             raise ValueError(
                 f"{source}:{lineno}: expected 6 or 7 fields "
@@ -281,23 +277,13 @@ def parse_record_file(path) -> list[DetectionRecord]:
         return parse_records(fh, source=str(path))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
 def report_to_csv(report: EvalReport) -> str:
     lines = ["class_id,n_gt,tp,fp,fn,precision,recall,ap"]
     for c in report.per_class:
-        ap = "" if c.ap is None else _fmt(c.ap)
+        ap = "" if c.ap is None else fmt(c.ap)
         lines.append(",".join([
             str(c.class_id), str(c.n_gt), str(c.tp), str(c.fp), str(c.fn),
-            _fmt(c.precision), _fmt(c.recall), ap]))
+            fmt(c.precision), fmt(c.recall), ap]))
     return "\n".join(lines)
 
 
@@ -321,4 +307,4 @@ def report_to_json(report: EvalReport) -> str:
             for c in report.per_class
         ],
     }
-    return json.dumps(payload, sort_keys=True)
+    return dumps(payload)

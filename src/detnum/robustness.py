@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._common import fmt, frozen_array
 from .metrics import confusion_counts
 
 __all__ = [
@@ -53,9 +54,7 @@ class GrayImage:
             raise ValueError("pixels must be finite")
         if px.min() < 0.0 or px.max() > 255.0:
             raise ValueError("pixels must lie in [0, 255]")
-        px = px.copy()
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "pixels", frozen_array(px))
 
     @property
     def height(self) -> int:
@@ -360,16 +359,10 @@ def _assemble_bands(entries) -> tuple[RobustnessBand, ...]:
     return tuple(bands)
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def sweep_to_csv(result: SweepResult) -> str:
     lines = ["level,psnr_db,outcome"]
     for e in result.entries:
-        lines.append(f"{_fmt(e.level)},{_fmt(e.psnr_db)},{e.outcome}")
+        lines.append(f"{fmt(e.level)},{fmt(e.psnr_db)},{e.outcome}")
     return "\n".join(lines)
 
 
@@ -422,4 +415,10 @@ def read_pgm(path) -> GrayImage:
     if len(data) != width * height:
         raise ValueError(f"{path}: expected {width * height} pixel bytes, got {len(data)}")
     px = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return GrayImage(px.astype(np.float64))
+    if maxval == 255:
+        return GrayImage(px.astype(np.float64))
+    top = int(px.max())
+    if top > maxval:
+        raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
+    # integer products are exact, so maxval itself maps to exactly 255.0
+    return GrayImage(px * 255.0 / maxval)

@@ -29,18 +29,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
+from ._common import frozen_array
+
 __all__ = [
     "FeatureTensor", "Conv2DParams", "FiniteDiffReport",
     "conv2d", "channel_pool", "spatial_pool", "sigmoid", "hadamard",
     "finite_diff_check", "write_blob", "read_blob",
     "write_tensor_blob", "read_tensor_blob",
 ]
-
-
-def _frozen_array(x, dtype=float) -> np.ndarray:
-    a = np.array(x, dtype=dtype, order="C")
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +53,7 @@ class FeatureTensor:
             raise ValueError("FeatureTensor must be nonempty")
         if not np.isfinite(a).all():
             raise ValueError("FeatureTensor entries must be finite")
-        object.__setattr__(self, "data", _frozen_array(a))
+        object.__setattr__(self, "data", frozen_array(a))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -99,8 +95,8 @@ class Conv2DParams:
             raise ValueError(f"bias must have shape ({w.shape[0]},), got {b.shape}")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError("conv parameters must be finite")
-        object.__setattr__(self, "weights", _frozen_array(w))
-        object.__setattr__(self, "bias", _frozen_array(b))
+        object.__setattr__(self, "weights", frozen_array(w))
+        object.__setattr__(self, "bias", frozen_array(b))
         object.__setattr__(self, "stride", _pair(self.stride, "stride", 1))
         object.__setattr__(self, "padding", _pair(self.padding, "padding", 0))
 

@@ -21,12 +21,14 @@ solvers assert that no optimal plan places mass on sentinel entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
+from ._common import frozen_array
 from .boxes import AABox, iou as _box_iou
 from .losses import DEFAULT_THETA, LossBreakdown, baseline_loss, mks_loss
 
@@ -34,7 +36,8 @@ __all__ = [
     "BIG", "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL",
     "OTProblem", "TransportPlan", "Assignment", "MatchConfig", "MatchResult",
     "InfeasibleMongeError", "uniform_marginals", "build_cost_matrix",
-    "sinkhorn", "exact_kp", "exact_mp", "negative_iou", "round_plan", "match",
+    "sinkhorn", "exact_kp", "exact_mp", "exact_injection", "negative_iou",
+    "round_plan", "match",
 ]
 
 BIG = 1e6  # sentinel standing in for +inf cost entries
@@ -45,16 +48,11 @@ DEFAULT_TOL = 1e-9
 
 _EXACT_CAP = 64     # largest side exact_kp will hand to the LP
 _BRUTE_CAP = 8      # permutation enumeration bound inside exact_mp
+_INJECTION_CAP = 500_000   # most maps exact_injection will enumerate
 
 
 class InfeasibleMongeError(ValueError):
     """Raised when no Monge map exists (n != m or non-uniform marginals)."""
-
-
-def _frozen_array(x, dtype=float) -> np.ndarray:
-    a = np.array(x, dtype=dtype, order="C")
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +79,9 @@ class OTProblem:
                 raise ValueError(f"{name} entries must be finite and >= 0")
             if abs(float(v.sum()) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must sum to 1 within 1e-9, got {float(v.sum())!r}")
-        object.__setattr__(self, "cost", _frozen_array(cost))
-        object.__setattr__(self, "mu", _frozen_array(mu))
-        object.__setattr__(self, "nu", _frozen_array(nu))
+        object.__setattr__(self, "cost", frozen_array(cost))
+        object.__setattr__(self, "mu", frozen_array(mu))
+        object.__setattr__(self, "nu", frozen_array(nu))
 
     @property
     def n(self) -> int:
@@ -105,7 +103,7 @@ class TransportPlan:
     iterations: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "plan", _frozen_array(self.plan))
+        object.__setattr__(self, "plan", frozen_array(self.plan))
 
 
 @dataclass(frozen=True)
@@ -220,10 +218,7 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
             # path only looks every 10th sweep
             if final and (not anneal or k % 10 == 0 or k == budget):
                 plan = np.exp(mr + u[:, None] + v[None, :])
-                violation = max(
-                    float(np.abs(plan.sum(axis=1) - problem.mu).max()),
-                    float(np.abs(plan.sum(axis=0) - problem.nu).max()),
-                )
+                violation = _marginal_violation(plan, problem)
                 if violation < tol:
                     converged = True
                     break
@@ -234,6 +229,12 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     _assert_no_sentinel_mass(plan, finite)
     objective = float((plan * cost).sum())
     return TransportPlan(plan, objective, violation, converged, iterations)
+
+
+def _marginal_violation(plan: np.ndarray, problem: OTProblem) -> float:
+    """Worst row or column deviation of plan from the problem's marginals."""
+    return max(float(np.abs(plan.sum(axis=1) - problem.mu).max()),
+               float(np.abs(plan.sum(axis=0) - problem.nu).max()))
 
 
 def _assert_no_sentinel_mass(plan: np.ndarray, finite: np.ndarray) -> None:
@@ -262,17 +263,18 @@ def exact_kp(problem: OTProblem) -> TransportPlan:
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = np.maximum(res.x.reshape(n, m), 0.0)
     _assert_no_sentinel_mass(plan, problem.cost < BIG)
-    violation = max(
-        float(np.abs(plan.sum(axis=1) - problem.mu).max()),
-        float(np.abs(plan.sum(axis=0) - problem.nu).max()),
-    )
     objective = float((plan * problem.cost).sum())
-    return TransportPlan(plan, objective, violation, True, int(res.nit))
+    return TransportPlan(plan, objective, _marginal_violation(plan, problem),
+                         True, int(res.nit))
 
 
 @lru_cache(maxsize=None)
-def _perm_table(n: int) -> np.ndarray:
-    return _frozen_array(list(itertools.permutations(range(n))), dtype=np.int64)
+def _perm_table(n: int, k: int | None = None) -> np.ndarray:
+    """Every ordered selection of k of range(n), one per row, in
+    lexicographic order; k defaults to n (all permutations)."""
+    k = n if k is None else k
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
+    return frozen_array(np.fromiter(flat, dtype=np.int64).reshape(-1, k), dtype=np.int64)
 
 
 def _require_monge_feasible(problem: OTProblem) -> int:
@@ -312,6 +314,29 @@ def exact_mp(problem: OTProblem, method: str = "auto") -> Assignment:
     if (selected >= BIG).any():
         raise RuntimeError("optimal Monge map crosses a sentinel (forbidden) cost entry")
     return Assignment(pairs, (), float(selected.sum()) / n)
+
+
+def exact_injection(problem: OTProblem) -> tuple[float, float]:
+    """Minimum summed cost of a one-to-one map from the smaller side into
+    the larger, by two independent routes: (enumeration, Hungarian).
+
+    Enumeration visits every injection, so it caps the smaller side at 8
+    and the count at 500000 maps. It sums each map's entries left to
+    right, as Python's sum does; the Hungarian route sums with NumPy.
+    """
+    n, m = problem.n, problem.m
+    k, big = min(n, m), max(n, m)
+    count = math.perm(big, k)
+    if k > _BRUTE_CAP or count > _INJECTION_CAP:
+        raise ValueError(
+            f"injection oracle supports min side <= {_BRUTE_CAP} and <= {_INJECTION_CAP} "
+            f"maps, got {n}x{m} ({count} maps)")
+    cost = problem.cost if n <= m else problem.cost.T
+    picked = cost[np.arange(k)[None, :], _perm_table(big, k)]
+    # cumsum runs strictly left to right; .sum() would sum pairwise
+    totals = np.cumsum(picked, axis=1, out=picked)[:, -1]
+    rows, cols = linear_sum_assignment(problem.cost)
+    return float(totals.min()), float(problem.cost[rows, cols].sum())
 
 
 def negative_iou(p: AABox, g: AABox, mp_value: float, kp_value: float) -> float:

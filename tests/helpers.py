@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from detnum.attention import channel_attention_weights, spatial_attention_map
 from detnum.boxes import AABox
+from detnum.tensor import FeatureTensor
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,17 @@ def channel_weights_loops(x, w1, b1, w2, b2):
 
         out[bi] = sigmoid_ref(mlp(avg) + mlp(mx))
     return out
+
+
+def parallel_attention(x, cp, sp):
+    """Foil composition: both gates computed from x, applied as a summed map.
+
+    The cascade in detnum.attention.cbam must differ from it, which shows
+    that the order of the two gates matters.
+    """
+    wc = channel_attention_weights(x, cp)
+    ms = spatial_attention_map(x, sp)
+    return FeatureTensor(x.data * (wc.data + ms.data))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from detnum.attention import (ChannelAttnParams, SpatialAttnParams, cbam,
-                              parallel_attention)
+from detnum.attention import ChannelAttnParams, SpatialAttnParams, cbam
 from detnum.boxes import AABox, iou
 from detnum.cli import main
 from detnum.fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
@@ -30,7 +29,7 @@ from detnum.tensor import FeatureTensor, conv2d
 from detnum.transport import (OTProblem, exact_kp, exact_mp, round_plan,
                               sinkhorn, uniform_marginals)
 
-from helpers import eval_brute, fd_grad, rand_box, rel_err
+from helpers import eval_brute, fd_grad, parallel_attention, rand_box, rel_err
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -8,12 +8,11 @@ from detnum.attention import (
     apply_spatial,
     cbam,
     channel_attention_weights,
-    parallel_attention,
     spatial_attention_map,
 )
 from detnum.tensor import Conv2DParams, FeatureTensor, hadamard
 
-from helpers import channel_weights_loops, sigmoid_ref
+from helpers import channel_weights_loops, parallel_attention, sigmoid_ref
 
 
 def rand_params(rng, channels, reduction=4, kernel=7):

@@ -313,3 +313,13 @@ def test_singularity_reasons_names_are_informative():
 def test_gradient_unknown_kind_rejected():
     with pytest.raises(ValueError):
         loss_gradient("nope", P_WORKED, G_WORKED)
+
+
+def test_gradient_at_coincident_centers_is_finite_and_flagged():
+    # same centre, different sizes: the angle term's sqrt sits at 0
+    p, g = AABox(4.0, 4.0, 6.0, 3.0), AABox(4.0, 4.0, 2.0, 2.0)
+    for kind in ("angle", "distance", "mks", "siou"):
+        gr = loss_gradient(kind, p, g)
+        assert gr.value == loss_value(kind, p, g)
+        assert all(math.isfinite(c) for c in gr.grad)
+        assert "coincident-centers" in gr.reasons

@@ -430,3 +430,19 @@ def test_pgm_reader_rejects_malformed(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n" + bytes(5))
     with pytest.raises(ValueError):
         read_pgm(p)
+
+
+def test_pgm_reader_rescales_low_maxval(tmp_path):
+    p = tmp_path / "low.pgm"
+    p.write_bytes(b"P5\n4 1\n15\n" + bytes([0, 1, 7, 15]))
+    img = read_pgm(p)
+    assert img.pixels.tolist() == [[0.0, 17.0, 119.0, 255.0]]
+    p.write_bytes(b"P5\n2 1\n7\n" + bytes([3, 7]))
+    assert read_pgm(p).pixels.tolist() == [[3 * 255 / 7, 255.0]]
+
+
+def test_pgm_reader_rejects_byte_above_maxval(tmp_path):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 255]))
+    with pytest.raises(ValueError, match=r"over\.pgm: pixel value 255 exceeds maxval 15"):
+        read_pgm(p)

@@ -9,6 +9,7 @@ from detnum.transport import (
     MatchConfig,
     OTProblem,
     build_cost_matrix,
+    exact_injection,
     exact_kp,
     exact_mp,
     match,
@@ -225,6 +226,23 @@ def test_exact_mp_infeasible_cases():
         exact_mp(uniform_problem(np.zeros((2, 3))))
     with pytest.raises(InfeasibleMongeError):
         exact_mp(OTProblem(np.zeros((2, 2)), [0.7, 0.3], [0.5, 0.5]))
+
+
+def test_exact_injection_matches_brute_oracle_bitwise():
+    rng = np.random.default_rng(89)
+    for n, m in ((2, 5), (5, 2), (3, 4), (6, 5), (1, 3)):
+        p = rand_problem(rng, n, m)
+        _, best = brute_injection(p.cost)
+        enumerated, hungarian = exact_injection(p)
+        assert enumerated / min(n, m) == best
+        assert hungarian == pytest.approx(enumerated, abs=1e-12)
+
+
+def test_exact_injection_caps_enumeration():
+    with pytest.raises(ValueError, match="got 9x10"):
+        exact_injection(uniform_problem(np.zeros((9, 10))))
+    with pytest.raises(ValueError, match=r"got 10x7 \(604800 maps\)"):
+        exact_injection(uniform_problem(np.zeros((10, 7))))
 
 
 def test_monge_at_least_kantorovich():
