@@ -28,6 +28,8 @@ CASES = {
     "match-csv": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt"],
     "match-json": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt",
                    "--format", "json"],
+    "match-siou": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt",
+                   "--cost", "siou"],
     "match-verify-5": ["match-verify", "--random", "5"],
     "match-verify-3x2": ["match-verify", "--random", "3:2"],
     "match-verify-9x8": ["match-verify", "--random", "9:8"],
