@@ -4,6 +4,10 @@ The canonical parameterization is (cx, cy, w, h); the corner view is derived.
 All overlap arithmetic is done in corner space so that identical boxes give
 an IoU of exactly 1.0 (floating-point round-trips through w/2 never enter
 the intersection/union ratio asymmetrically).
+
+The geometry is written once: `corners`, `overlap` and `enclosure` take
+(cx, cy, w, h) tuples of floats or `dual.Dual`s, and `iou_matrix` repeats
+`overlap` op for op on NumPy arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +15,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["AABox", "EnclosureGeom", "iou", "enclosure_geom"]
+import numpy as np
+
+from . import dual as dm
+
+__all__ = ["AABox", "EnclosureGeom", "corners", "overlap", "enclosure",
+           "iou", "iou_matrix", "enclosure_geom"]
+
+
+def corners(f):
+    """(x1, y1, x2, y2) of a (cx, cy, w, h) box."""
+    cx, cy, w, h = f
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+
+def overlap(pf, gf):
+    """(iou, union) of two (cx, cy, w, h) boxes; edge contact is no overlap.
+
+    Areas come from the corners, not w*h, to cancel exactly for identical boxes.
+    """
+    px1, py1, px2, py2 = corners(pf)
+    gx1, gy1, gx2, gy2 = corners(gf)
+    iw = dm.vmin(px2, gx2) - dm.vmax(px1, gx1)
+    ih = dm.vmin(py2, gy2) - dm.vmax(py1, gy1)
+    inter = 0.0 if iw <= 0.0 or ih <= 0.0 else iw * ih
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
+    return inter / union, union
+
+
+def enclosure(pf, gf):
+    """(width, height) of the smallest axis-aligned box enclosing both."""
+    px1, py1, px2, py2 = corners(pf)
+    gx1, gy1, gx2, gy2 = corners(gf)
+    return dm.vmax(px2, gx2) - dm.vmin(px1, gx1), dm.vmax(py2, gy2) - dm.vmin(py1, gy1)
 
 
 @dataclass(frozen=True)
@@ -19,7 +55,7 @@ class AABox:
     """Axis-aligned box: center (cx, cy) and strictly positive size (w, h).
 
     Degenerate zero-area boxes are rejected at construction rather than
-    yielding NaNs downstream.
+    yielding NaNs downstream. A box unpacks as its (cx, cy, w, h) tuple.
     """
 
     cx: float
@@ -40,32 +76,18 @@ class AABox:
         if self.w <= 0.0 or self.h <= 0.0:
             raise ValueError(f"AABox needs w > 0 and h > 0, got w={self.w}, h={self.h}")
 
-    @property
-    def x1(self) -> float:
-        return self.cx - self.w / 2.0
-
-    @property
-    def y1(self) -> float:
-        return self.cy - self.h / 2.0
-
-    @property
-    def x2(self) -> float:
-        return self.cx + self.w / 2.0
-
-    @property
-    def y2(self) -> float:
-        return self.cy + self.h / 2.0
+    def __iter__(self):
+        return iter((self.cx, self.cy, self.w, self.h))
 
     @property
     def corners(self) -> tuple[float, float, float, float]:
         """(x1, y1, x2, y2) corner view."""
-        return (self.x1, self.y1, self.x2, self.y2)
+        return corners(self)
 
     @property
     def area(self) -> float:
-        # computed from corners, not w*h, so it cancels exactly against the
-        # intersection area of an identical box
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
+        x1, y1, x2, y2 = corners(self)
+        return (x2 - x1) * (y2 - y1)
 
 
 @dataclass(frozen=True)
@@ -96,14 +118,25 @@ def iou(p: AABox, g: AABox) -> float:
     """Intersection over union of two boxes.
 
     Symmetric; 0.0 for disjoint boxes (edge contact counts as zero overlap),
-    exactly 1.0 for identical boxes.
+    exactly 1.0 for identical boxes. Also takes tuples, like `overlap`.
     """
-    iw = min(p.x2, g.x2) - max(p.x1, g.x1)
-    ih = min(p.y2, g.y2) - max(p.y1, g.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = p.area + g.area - inter
+    return overlap(p, g)[0]
+
+
+def iou_matrix(preds, gts) -> np.ndarray:
+    """(len(preds), len(gts)) array of IoUs; entry [i, j] is iou(preds[i], gts[j]).
+
+    `overlap` on broadcast arrays, in the same operation order, so every
+    entry equals the scalar `iou` bit for bit.
+    """
+    p = np.array([tuple(b) for b in preds], dtype=float).reshape(-1, 4)
+    g = np.array([tuple(b) for b in gts], dtype=float).reshape(-1, 4)
+    px1, py1, px2, py2 = corners(p.T[:, :, None])
+    gx1, gy1, gx2, gy2 = corners(g.T[:, None, :])
+    iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
     return inter / union
 
 
@@ -111,10 +144,4 @@ def enclosure_geom(p: AABox, g: AABox) -> EnclosureGeom:
     """Enclosing-hull sizes, center distance, and center-y gap for a pair."""
     dx = g.cx - p.cx
     dy = g.cy - p.cy
-    return EnclosureGeom(
-        iou=iou(p, g),
-        c_w_enc=max(p.x2, g.x2) - min(p.x1, g.x1),
-        c_h_enc=max(p.y2, g.y2) - min(p.y1, g.y1),
-        sigma=math.hypot(dx, dy),
-        c_h_angle=abs(dy),
-    )
+    return EnclosureGeom(iou(p, g), *enclosure(p, g), math.hypot(dx, dy), abs(dy))

@@ -279,7 +279,10 @@ def _parse_outcomes_file(path) -> dict[float, str]:
                 raise ValueError(
                     f"{_base(path)}:{lineno}: expected `level outcome` with outcome "
                     f"in {robustness.OUTCOMES}, got {' '.join(parts)!r}")
-            table[round(float(parts[0]), 12)] = parts[1]
+            try:
+                table[round(float(parts[0]), 12)] = parts[1]
+            except ValueError as exc:
+                raise ValueError(f"{_base(path)}:{lineno}: {exc}") from None
     return table
 
 

@@ -6,6 +6,7 @@ respect to the prediction box's (cx, cy, w, h). The elementary functions
 below accept plain floats or Duals, so a formula written once against them
 yields values or derivatives depending on what is fed in.
 
+Comparisons read the primal value, against Duals or plain numbers alike.
 Branch points (abs / min / max) follow the branch selected by the primal
 values; at exact ties the first argument wins. Callers are expected to
 detect and flag those configurations separately — this module just
@@ -33,6 +34,20 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.val!r}, d={self.d!r})"
+
+    # -- comparisons --------------------------------------------------------
+
+    def __lt__(self, other):
+        return self.val < value(other)
+
+    def __le__(self, other):
+        return self.val <= value(other)
+
+    def __gt__(self, other):
+        return self.val > value(other)
+
+    def __ge__(self, other):
+        return self.val >= value(other)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -168,13 +183,9 @@ def fabs(x):
 
 def vmin(a, b):
     """min(a, b) taking the branch of the smaller primal; a wins ties."""
-    if value(a) <= value(b):
-        return a
-    return b
+    return a if a <= b else b
 
 
 def vmax(a, b):
     """max(a, b) taking the branch of the larger primal; a wins ties."""
-    if value(a) >= value(b):
-        return a
-    return b
+    return a if a >= b else b

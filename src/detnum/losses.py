@@ -20,7 +20,8 @@ coming from the transport-matching stage:
 On the equal-cardinality uniform matching problems produced here the
 negative-IoU factor collapses to 1 − IoU, making the first term a squared
 IoU gap. The conventional additive form 1 − IoU + (Δ + Ω)/2 is available as
-baseline kind "siou", next to "giou", "diou", and "ciou".
+baseline kind "siou" (the composite with the factor fixed at 1), next to
+"giou", "diou", and "ciou". All box geometry comes from `boxes`.
 
 Gradients are forward-mode algorithmic derivatives over (cx, cy, w, h) of
 the prediction box; non-differentiable configurations (branch ties,
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import dual as dm
-from .boxes import AABox, iou as _box_iou
+from .boxes import AABox, enclosure, iou as _box_iou, overlap
 
 __all__ = [
     "DEFAULT_THETA", "GRADIENT_KINDS", "BASELINE_KINDS",
@@ -97,15 +98,6 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _fields(b: AABox) -> tuple[float, float, float, float]:
-    return (b.cx, b.cy, b.w, b.h)
-
-
-def _corners(f):
-    cx, cy, w, h = f
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-
-
 # ---------------------------------------------------------------------------
 # generic cores: work on plain floats or dual numbers alike
 # ---------------------------------------------------------------------------
@@ -126,10 +118,7 @@ def _angle_core(pf, gf):
 
 
 def _distance_core(pf, gf, lam):
-    px1, py1, px2, py2 = _corners(pf)
-    gx1, gy1, gx2, gy2 = _corners(gf)
-    cw = dm.vmax(px2, gx2) - dm.vmin(px1, gx1)
-    ch = dm.vmax(py2, gy2) - dm.vmin(py1, gy1)
+    cw, ch = enclosure(pf, gf)
     gamma = 2.0 - lam
     tx = (gf[0] - pf[0]) / cw
     ty = (gf[1] - pf[1]) / ch
@@ -143,56 +132,25 @@ def _shape_core(pf, gf, theta):
     return (1.0 - dm.exp(-ww)) ** theta + (1.0 - dm.exp(-wh)) ** theta
 
 
-def _overlap_terms(pf, gf):
-    """(iou, union); mirrors boxes.iou operation for operation."""
-    px1, py1, px2, py2 = _corners(pf)
-    gx1, gy1, gx2, gy2 = _corners(gf)
-    iw = dm.vmin(px2, gx2) - dm.vmax(px1, gx1)
-    ih = dm.vmin(py2, gy2) - dm.vmax(py1, gy1)
-    if dm.value(iw) <= 0.0 or dm.value(ih) <= 0.0:
-        inter = 0.0
-    else:
-        inter = iw * ih
-    area_p = (px2 - px1) * (py2 - py1)
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    union = area_p + area_g - inter
-    return inter / union, union
-
-
-def _iou_core(pf, gf):
-    return _overlap_terms(pf, gf)[0]
-
-
 def _mks_core(pf, gf, theta, negative_iou):
     lam = _angle_core(pf, gf)
     delta = _distance_core(pf, gf, lam)
     omega = _shape_core(pf, gf, theta)
-    iuc = 1.0 - _iou_core(pf, gf)
+    iuc = 1.0 - _box_iou(pf, gf)
     niou = iuc if negative_iou is None else negative_iou
     return niou * iuc + (delta + omega) / 2.0
 
 
-def _siou_core(pf, gf, theta):
-    lam = _angle_core(pf, gf)
-    delta = _distance_core(pf, gf, lam)
-    omega = _shape_core(pf, gf, theta)
-    return 1.0 - _iou_core(pf, gf) + (delta + omega) / 2.0
-
-
 def _giou_core(pf, gf):
-    iou_v, union = _overlap_terms(pf, gf)
-    px1, py1, px2, py2 = _corners(pf)
-    gx1, gy1, gx2, gy2 = _corners(gf)
-    hull = (dm.vmax(px2, gx2) - dm.vmin(px1, gx1)) * (dm.vmax(py2, gy2) - dm.vmin(py1, gy1))
+    iou_v, union = overlap(pf, gf)
+    cw, ch = enclosure(pf, gf)
+    hull = cw * ch
     return 1.0 - iou_v + (hull - union) / hull
 
 
 def _diou_core(pf, gf):
-    iou_v, _ = _overlap_terms(pf, gf)
-    px1, py1, px2, py2 = _corners(pf)
-    gx1, gy1, gx2, gy2 = _corners(gf)
-    cw = dm.vmax(px2, gx2) - dm.vmin(px1, gx1)
-    ch = dm.vmax(py2, gy2) - dm.vmin(py1, gy1)
+    iou_v = _box_iou(pf, gf)
+    cw, ch = enclosure(pf, gf)
     dx = gf[0] - pf[0]
     dy = gf[1] - pf[1]
     return 1.0 - iou_v + (dx * dx + dy * dy) / (cw * cw + ch * ch)
@@ -200,12 +158,12 @@ def _diou_core(pf, gf):
 
 def _ciou_core(pf, gf):
     base = _diou_core(pf, gf)
-    iou_v = _iou_core(pf, gf)
+    iou_v = _box_iou(pf, gf)
     k = 4.0 / (math.pi * math.pi)
     t = dm.atan(gf[2] / gf[3]) - dm.atan(pf[2] / pf[3])
     v = k * (t * t)
     denom = (1.0 - iou_v) + v
-    if dm.value(denom) < 1e-12:
+    if denom < 1e-12:
         # p ≅ g: the aspect term α·v = v²/denom is 0/0; both gaps vanish,
         # so the term is dropped (flagged singular by the gradient path)
         return base
@@ -220,11 +178,11 @@ def _dispatch(kind, pf, gf, theta, negative_iou):
     if kind == "shape":
         return _shape_core(pf, gf, theta)
     if kind == "iou_cost":
-        return 1.0 - _iou_core(pf, gf)
+        return 1.0 - _box_iou(pf, gf)
     if kind == "mks":
         return _mks_core(pf, gf, theta, negative_iou)
     if kind == "siou":
-        return _siou_core(pf, gf, theta)
+        return _mks_core(pf, gf, theta, 1.0)
     if kind == "giou":
         return _giou_core(pf, gf)
     if kind == "diou":
@@ -250,7 +208,7 @@ def _norm_kind(kind: str) -> str:
 
 def angle_cost(p: AABox, g: AABox) -> float:
     """Angle cost Λ ∈ [0, 1]; 0 at axis alignment, 1 at 45° alignment."""
-    return float(_angle_core(_fields(p), _fields(g)))
+    return float(_angle_core(tuple(p), tuple(g)))
 
 
 def distance_cost(p: AABox, g: AABox, lam: float) -> float:
@@ -258,13 +216,13 @@ def distance_cost(p: AABox, g: AABox, lam: float) -> float:
     lam = float(lam)
     if not (-1e-12 <= lam <= 1.0 + 1e-12):
         raise ValueError(f"lam must be an angle cost in [0, 1], got {lam!r}")
-    return float(_distance_core(_fields(p), _fields(g), lam))
+    return float(_distance_core(tuple(p), tuple(g), lam))
 
 
 def shape_cost(p: AABox, g: AABox, theta: float = DEFAULT_THETA) -> float:
     """Shape cost Ω ∈ [0, 2); symmetric in the two boxes' sizes."""
     theta = _check_theta(theta)
-    return float(_shape_core(_fields(p), _fields(g), theta))
+    return float(_shape_core(tuple(p), tuple(g), theta))
 
 
 def mks_loss(p: AABox, g: AABox, negative_iou: float,
@@ -278,7 +236,7 @@ def mks_loss(p: AABox, g: AABox, negative_iou: float,
     negative_iou = float(negative_iou)
     if not math.isfinite(negative_iou):
         raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
-    pf, gf = _fields(p), _fields(g)
+    pf, gf = tuple(p), tuple(g)
     lam = float(_angle_core(pf, gf))
     delta = float(_distance_core(pf, gf, lam))
     omega = float(_shape_core(pf, gf, theta))
@@ -306,7 +264,7 @@ def loss_value(kind: str, p: AABox, g: AABox, *,
     """
     k = _norm_kind(kind)
     theta = _check_theta(theta)
-    return float(_dispatch(k, _fields(p), _fields(g), theta, negative_iou))
+    return float(_dispatch(k, tuple(p), tuple(g), theta, negative_iou))
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +294,15 @@ def singularity_reasons(kind: str, p: AABox, g: AABox, tol: float = 1e-9) -> tup
         if sigma >= tol:
             near(abs(dy), "angle-x-zero")
             near(sigma - abs(dy), "angle-x-one")
+    (px1, py1, px2, py2), (gx1, gy1, gx2, gy2) = p.corners, g.corners
     if k in _CORNER_KINDS:
-        near(abs(p.x1 - g.x1), "corner-tie-x1")
-        near(abs(p.x2 - g.x2), "corner-tie-x2")
-        near(abs(p.y1 - g.y1), "corner-tie-y1")
-        near(abs(p.y2 - g.y2), "corner-tie-y2")
+        near(abs(px1 - gx1), "corner-tie-x1")
+        near(abs(px2 - gx2), "corner-tie-x2")
+        near(abs(py1 - gy1), "corner-tie-y1")
+        near(abs(py2 - gy2), "corner-tie-y2")
     if k in _OVERLAP_KINDS:
-        near(abs(min(p.x2, g.x2) - max(p.x1, g.x1)), "overlap-x-edge")
-        near(abs(min(p.y2, g.y2) - max(p.y1, g.y1)), "overlap-y-edge")
+        near(abs(min(px2, gx2) - max(px1, gx1)), "overlap-x-edge")
+        near(abs(min(py2, gy2) - max(py1, gy1)), "overlap-y-edge")
     if k in _SHAPE_KINDS:
         near(abs(p.w - g.w), "equal-widths")
         near(abs(p.h - g.h), "equal-heights")
@@ -376,6 +335,6 @@ def loss_gradient(kind: str, p: AABox, g: AABox, *,
         val = loss_value(k, p, g, theta=theta, negative_iou=negative_iou)
         return GradientResult(val, (0.0, 0.0, 0.0, 0.0), True, ("identical-boxes",))
     reasons = singularity_reasons(k, p, g, tol=singular_tol)
-    pd = dm.seed(_fields(p))
-    out = _dispatch(k, pd, _fields(g), theta, negative_iou)
+    pd = dm.seed(p)
+    out = _dispatch(k, pd, tuple(g), theta, negative_iou)
     return GradientResult(dm.value(out), dm.grad(out), bool(reasons), reasons)

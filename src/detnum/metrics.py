@@ -12,6 +12,8 @@ interpolation); the legacy 11-point variant sits behind a flag. The
 cumulative precision/recall points are ratios of small integers, so the
 envelope integration runs on exact fractions and converts to float only at
 the boundary — per-scenario results are reproducible to the last bit.
+`evaluate` integrates over the true-positive ranks only: false positives
+add no recall and cannot raise the envelope.
 
 Record files are line-delimited: `image_id class_id cx cy w h [confidence]`
 (confidence defaults to 1.0, as for ground truths). Blank lines and lines
@@ -196,7 +198,6 @@ class ClassEval:
     precision_defined: bool
     recall_defined: bool
     ap: float | None           # None for classes with no ground truths
-    pr_points: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -224,18 +225,15 @@ def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
     ap_values = []
     for cls in classes:
         flags, n_gt = _ranked_match_flags(dets, gts, cls, t)
-        tp_cum = 0
-        points = []   # (recall, precision) as exact fractions
-        for k, flag in enumerate(flags, start=1):
-            tp_cum += int(flag)
-            if n_gt > 0:
-                points.append((Fraction(tp_cum, n_gt), Fraction(tp_cum, k)))
-        tp = tp_cum
+        tp = sum(flags)
         fp = len(flags) - tp
         fn = n_gt - tp
         pr = precision_recall(tp, fp, fn)
         if n_gt > 0:
-            ap_frac = _ap_exact(points, method)
+            # recall steps only; see the module docstring
+            tp_ranks = [k for k, flag in enumerate(flags, start=1) if flag]
+            ap_frac = _ap_exact([(Fraction(i, n_gt), Fraction(i, k))
+                                 for i, k in enumerate(tp_ranks, start=1)], method)
             ap = float(ap_frac)
             ap_values.append(ap_frac)
         else:
@@ -244,9 +242,8 @@ def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
             class_id=cls, n_gt=n_gt, tp=tp, fp=fp, fn=fn,
             precision=pr.precision, recall=pr.recall,
             precision_defined=pr.precision_defined, recall_defined=pr.recall_defined,
-            ap=ap, pr_points=tuple((float(r), float(p)) for r, p in points)))
-    map_value = float(sum(ap_values) / len(ap_values)) if ap_values else 0.0
-    return EvalReport(per_class=tuple(rows), map=map_value, iou_threshold=t)
+            ap=ap))
+    return EvalReport(per_class=tuple(rows), map=mean_ap(ap_values), iou_threshold=t)
 
 
 # ---------------------------------------------------------------------------

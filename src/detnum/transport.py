@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from ._common import frozen_array
-from .boxes import AABox, iou as _box_iou
+from .boxes import AABox, iou as _box_iou, iou_matrix
 from .losses import DEFAULT_THETA, LossBreakdown, baseline_loss, mks_loss
 
 __all__ = [
@@ -138,12 +138,12 @@ def build_cost_matrix(preds, gts, *, kind: str = "iou",
     if not preds or not gts:
         raise ValueError("build_cost_matrix needs nonempty prediction and gt lists")
     if kind == "iou":
-        cost = [[1.0 - _box_iou(p, g) for g in gts] for p in preds]
+        cost = 1.0 - iou_matrix(preds, gts)
     elif kind == "siou":
         cost = [[baseline_loss("siou", p, g, theta=theta) for g in gts] for p in preds]
     else:
         raise ValueError(f"unknown cost kind {kind!r}; expected 'iou' or 'siou'")
-    return OTProblem(np.array(cost), uniform_marginals(len(preds)), uniform_marginals(len(gts)))
+    return OTProblem(cost, uniform_marginals(len(preds)), uniform_marginals(len(gts)))
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -255,6 +255,16 @@ def test_sweep_outcomes_file(capsys, tmp_path):
     assert [b["band"] for b in s["bands"]] == ["fail", "miss", "clean"]
 
 
+def test_sweep_outcomes_file_bad_level_has_position(capsys, tmp_path):
+    oc = tmp_path / "outcomes.txt"
+    oc.write_text("abc clean\n")
+    code, _, err = run(capsys, "sweep", "--mode", "noise", "--range", "0:1:0.5",
+                       "--outcomes", str(oc))
+    assert code == 1
+    assert "outcomes.txt:1:" in err
+    assert "'abc'" in err
+
+
 def test_sweep_range_validation(capsys):
     code, _, err = run(capsys, "sweep", "--range", "10:20")
     assert code == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from detnum import dual as dm
 from detnum.boxes import AABox, iou
 from detnum.losses import (
     BASELINE_KINDS,
@@ -323,3 +324,12 @@ def test_gradient_at_coincident_centers_is_finite_and_flagged():
         assert gr.value == loss_value(kind, p, g)
         assert all(math.isfinite(c) for c in gr.grad)
         assert "coincident-centers" in gr.reasons
+
+
+def test_dual_compares_by_primal_and_min_max_keep_the_first_on_ties():
+    a, b = dm.Dual(1.0, (1.0, 0.0, 0.0, 0.0)), dm.Dual(1.0, (0.0, 1.0, 0.0, 0.0))
+    assert a <= b and a >= b and not a < b and not a > b
+    assert 0.5 < a and a < 2.0 and 1.0 <= a and not (2.0 <= a)
+    assert dm.vmin(a, b) is a and dm.vmax(a, b) is a and dm.vmin(b, a) is b
+    assert dm.vmin(a, 1.0) is a and dm.vmin(1.0, a) == 1.0
+    assert dm.vmax(a, 3.0) == 3.0 and dm.vmin(a, 3.0) is a

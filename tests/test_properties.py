@@ -6,7 +6,7 @@ so every run of the suite draws the same examples.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from detnum.boxes import AABox, iou
+from detnum.boxes import AABox, iou, iou_matrix
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value
 from detnum.metrics import DetectionRecord, evaluate
 
@@ -32,6 +32,21 @@ def test_iou_is_symmetric(p, g):
 @given(boxes)
 def test_iou_of_identical_boxes_is_one(b):
     assert iou(b, AABox(b.cx, b.cy, b.w, b.h)) == 1.0
+
+
+box_lists = st.lists(st.one_of(boxes, lattice_boxes), max_size=6)
+
+
+@fixed
+@given(box_lists, box_lists)
+def test_iou_matrix_equals_scalar_iou_bitwise(ps, gs):
+    # gs + ps puts every prediction against an identical box; the lattice
+    # draws add edge contact and disjoint pairs
+    gs = gs + ps
+    m = iou_matrix(ps, gs)
+    assert m.shape == (len(ps), len(gs))
+    assert [[v.hex() for v in row] for row in m.tolist()] == \
+        [[iou(p, g).hex() for g in gs] for p in ps]
 
 
 @fixed
@@ -77,6 +92,26 @@ def test_evaluate_ignores_ground_truth_order(scene, threshold):
     shuffled = list(gts)
     rnd.shuffle(shuffled)
     assert evaluate(dets, shuffled, threshold) == evaluate(dets, gts, threshold)
+
+
+@st.composite
+def distinct_confidence_scenes(draw):
+    dets, gts, rnd = draw(scenes())
+    confs = draw(st.lists(st.sampled_from([k / 16 for k in range(1, 16)]),
+                          min_size=len(dets), max_size=len(dets), unique=True))
+    dets = [DetectionRecord(d.image_id, d.class_id, d.box, c) for d, c in zip(dets, confs)]
+    return dets, gts, rnd
+
+
+@fixed
+@given(distinct_confidence_scenes(), st.sampled_from([0.1, 0.5]),
+       st.sampled_from(["all_points", "11point"]))
+def test_evaluate_ignores_order_of_distinct_confidence_detections(scene, threshold, method):
+    dets, gts, rnd = scene
+    shuffled = list(dets)
+    rnd.shuffle(shuffled)
+    assert (evaluate(shuffled, gts, threshold, method=method)
+            == evaluate(dets, gts, threshold, method=method))
 
 
 def test_evaluate_iou_tie_goes_to_earlier_ground_truth():
