@@ -15,8 +15,8 @@ robustness  brightness and noise degradation sweeps, PSNR, banding
 cli         `detnum` command-line entry point
 """
 
-from .boxes import AABox, EnclosureGeom, enclosure_geom, iou
+from .boxes import AABox, iou
 
-__all__ = ["AABox", "EnclosureGeom", "enclosure_geom", "iou"]
+__all__ = ["AABox", "iou"]
 
 __version__ = "0.1.0"

@@ -23,9 +23,7 @@ from .tensor import (Conv2DParams, FeatureTensor, channel_pool, conv2d,
 
 __all__ = [
     "ChannelAttnParams", "SpatialAttnParams", "CBAMResult",
-    "channel_attention_weights", "apply_channel",
-    "spatial_attention_map", "apply_spatial",
-    "cbam",
+    "channel_attention_weights", "spatial_attention_map", "cbam",
 ]
 
 
@@ -136,19 +134,11 @@ def channel_attention_weights(x: FeatureTensor, p: ChannelAttnParams) -> Feature
     return FeatureTensor(expit(logits)[:, :, None, None])
 
 
-def apply_channel(x: FeatureTensor, p: ChannelAttnParams) -> FeatureTensor:
-    return hadamard(x, channel_attention_weights(x, p))
-
-
 def spatial_attention_map(x: FeatureTensor, p: SpatialAttnParams) -> FeatureTensor:
     """Spatial gate M_s = σ(conv([avg_c; max_c])), (n, 1, h, w)."""
     avg, mx = spatial_pool(x)
     stacked = FeatureTensor(np.concatenate([avg.data, mx.data], axis=1))
     return sigmoid(conv2d(stacked, p.conv))
-
-
-def apply_spatial(x: FeatureTensor, p: SpatialAttnParams) -> FeatureTensor:
-    return hadamard(x, spatial_attention_map(x, p))
 
 
 def cbam(x: FeatureTensor, cp: ChannelAttnParams, sp: SpatialAttnParams) -> CBAMResult:
@@ -157,4 +147,3 @@ def cbam(x: FeatureTensor, cp: ChannelAttnParams, sp: SpatialAttnParams) -> CBAM
     refined = hadamard(x, weights)
     smap = spatial_attention_map(refined, sp)
     return CBAMResult(hadamard(refined, smap), weights, smap)
-

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import dual as dm
 
-__all__ = ["AABox", "EnclosureGeom", "corners", "overlap", "enclosure",
-           "iou", "iou_matrix", "enclosure_geom"]
+__all__ = ["AABox", "corners", "overlap", "enclosure", "iou", "iou_matrix"]
 
 
 def corners(f):
@@ -90,30 +89,6 @@ class AABox:
         return (x2 - x1) * (y2 - y1)
 
 
-@dataclass(frozen=True)
-class EnclosureGeom:
-    """Joint geometry of a box pair.
-
-    Attributes
-    ----------
-    iou : float
-        Overlap ratio in [0, 1].
-    c_w_enc, c_h_enc : float
-        Width/height of the smallest axis-aligned box enclosing both inputs.
-    sigma : float
-        Euclidean distance between the two centers.
-    c_h_angle : float
-        Absolute center-y gap |cy_g - cy_p| (the vertical leg of the
-        center-offset triangle). Always <= sigma.
-    """
-
-    iou: float
-    c_w_enc: float
-    c_h_enc: float
-    sigma: float
-    c_h_angle: float
-
-
 def iou(p: AABox, g: AABox) -> float:
     """Intersection over union of two boxes.
 
@@ -138,10 +113,3 @@ def iou_matrix(preds, gts) -> np.ndarray:
     inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
     union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
     return inter / union
-
-
-def enclosure_geom(p: AABox, g: AABox) -> EnclosureGeom:
-    """Enclosing-hull sizes, center distance, and center-y gap for a pair."""
-    dx = g.cx - p.cx
-    dy = g.cy - p.cy
-    return EnclosureGeom(iou(p, g), *enclosure(p, g), math.hypot(dx, dy), abs(dy))

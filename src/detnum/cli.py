@@ -28,8 +28,7 @@ from .attention import ChannelAttnParams, SpatialAttnParams, cbam
 from .boxes import AABox
 from .fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
                    fold_fusion_block, fusion_block, random_conv_params)
-from .losses import (DEFAULT_THETA, GRADIENT_KINDS, loss_gradient, loss_value,
-                     singularity_reasons)
+from .losses import DEFAULT_THETA, loss_gradient, loss_value, singularity_reasons
 from .tensor import FeatureTensor, conv2d, read_tensor_blob, write_blob
 from .transport import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                         MatchConfig, build_cost_matrix, exact_injection,
@@ -170,11 +169,13 @@ def cmd_match(args) -> int:
 
 
 def _parse_random_size(text: str) -> tuple[int, int]:
-    if ":" in text:
-        a, b = text.split(":", 1)
-        return int(a), int(b)
-    n = int(text)
-    return n, n
+    try:
+        sizes = [int(v) for v in text.split(":")]
+    except ValueError:
+        raise ValueError(f"--random expects N or N:M ints, got {text!r}") from None
+    if len(sizes) > 2 or any(v < 1 for v in sizes):
+        raise ValueError(f"--random expects N or N:M with sizes >= 1, got {text!r}")
+    return sizes[0], sizes[-1]
 
 
 def _verify_square(problem, tp) -> tuple[list, dict]:
@@ -273,6 +274,7 @@ def cmd_eval(args) -> int:
 
 def _parse_outcomes_file(path) -> dict[float, str]:
     table = {}
+    given_on = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, parts in data_lines(fh):
             if len(parts) != 2 or parts[1] not in robustness.OUTCOMES:
@@ -280,17 +282,23 @@ def _parse_outcomes_file(path) -> dict[float, str]:
                     f"{_base(path)}:{lineno}: expected `level outcome` with outcome "
                     f"in {robustness.OUTCOMES}, got {' '.join(parts)!r}")
             try:
-                table[round(float(parts[0]), 12)] = parts[1]
+                level = round(float(parts[0]), 12)
             except ValueError as exc:
                 raise ValueError(f"{_base(path)}:{lineno}: {exc}") from None
+            if level in given_on:
+                raise ValueError(f"{_base(path)}:{lineno}: level {parts[0]} "
+                                 f"already given on line {given_on[level]}")
+            given_on[level] = lineno
+            table[level] = parts[1]
     return table
 
 
 def _parse_profile(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--profile expects FAIL_HI:CLEAN_LO:CLEAN_HI, got {text!r}")
-    fail_hi, clean_lo, clean_hi = (float(p) for p in parts)
+    try:
+        fail_hi, clean_lo, clean_hi = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(
+            f"--profile expects three numbers FAIL_HI:CLEAN_LO:CLEAN_HI, got {text!r}") from None
 
     def scorer(level: float, _img) -> str:
         if level <= fail_hi:

@@ -192,14 +192,10 @@ def _dispatch(kind, pf, gf, theta, negative_iou):
     raise ValueError(f"unknown loss kind {kind!r}; expected one of {GRADIENT_KINDS}")
 
 
-def _norm_kind(kind: str) -> str:
-    k = str(kind).strip().lower().replace("_", "-")
-    if k in ("siou-standard", "siou-std"):
-        k = "siou"
-    k = k.replace("iou-cost", "iou_cost")
-    if k not in GRADIENT_KINDS:
+def _check_kind(kind: str) -> str:
+    if kind not in GRADIENT_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {GRADIENT_KINDS}")
-    return k
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,7 @@ def mks_loss(p: AABox, g: AABox, negative_iou: float,
 
 def baseline_loss(kind: str, p: AABox, g: AABox, theta: float = DEFAULT_THETA) -> float:
     """One of the comparison losses: giou, diou, ciou, or siou (additive)."""
-    k = _norm_kind(kind)
+    k = _check_kind(kind)
     if k not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
     return loss_value(k, p, g, theta=theta)
@@ -262,7 +258,7 @@ def loss_value(kind: str, p: AABox, g: AABox, *,
     For kind "mks" with negative_iou=None the factor is the collapsed
     self-consistent 1 − IoU(p, g); passing a number treats it as a constant.
     """
-    k = _norm_kind(kind)
+    k = _check_kind(kind)
     theta = _check_theta(theta)
     return float(_dispatch(k, tuple(p), tuple(g), theta, negative_iou))
 
@@ -279,7 +275,7 @@ def singularity_reasons(kind: str, p: AABox, g: AABox, tol: float = 1e-9) -> tup
     the zero-overlap plateau, the ciou aspect-term pole) where one-sided
     derivatives disagree. Distances are in the boxes' coordinate units.
     """
-    k = _norm_kind(kind)
+    k = _check_kind(kind)
     out = []
 
     def near(margin, name):
@@ -325,7 +321,7 @@ def loss_gradient(kind: str, p: AABox, g: AABox, *,
     one-sided derivative but are flagged so callers can exclude them from
     finite-difference comparisons.
     """
-    k = _norm_kind(kind)
+    k = _check_kind(kind)
     theta = _check_theta(theta)
     if negative_iou is not None:
         negative_iou = float(negative_iou)

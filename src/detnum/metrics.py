@@ -206,10 +206,6 @@ class EvalReport:
     map: float
     iou_threshold: float
 
-    @property
-    def counts(self) -> dict[int, ClassCounts]:
-        return {c.class_id: ClassCounts(c.tp, c.fp, c.fn) for c in self.per_class}
-
 
 def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
              iou_threshold: float = 0.5, *, method: str = "all_points") -> EvalReport:

@@ -1,7 +1,7 @@
 """Degradation protocols: brightness sweeps, noise sweeps, PSNR banding.
 
 Grayscale images carry real-valued pixels on the 0..255 scale (quantization
-to 8 bits happens only at IO / histogram time). Brightness is *mean
+to 8 bits happens only at IO time). Brightness is *mean
 luminance*, set by multiplicative rescaling with an iterative correction
 when clamping to [0, 255] shifts the mean. Gaussian noise is injected on
 the normalized [0, 1] scale and PSNR uses MAX = 1 on that scale.
@@ -27,10 +27,10 @@ from ._common import fmt, frozen_array
 from .metrics import confusion_counts
 
 __all__ = [
-    "GrayImage", "BrightnessResult", "MaskRect", "SweepConfig", "SweepEntry",
+    "GrayImage", "BrightnessResult", "SweepConfig", "SweepEntry",
     "RobustnessBand", "SweepResult", "OUTCOMES",
-    "set_brightness", "set_brightness_result", "add_gaussian_noise", "psnr",
-    "mask_histogram", "classify_outcome", "outcome_from_records",
+    "set_brightness_result", "add_gaussian_noise", "psnr",
+    "classify_outcome", "outcome_from_records",
     "grid_levels", "sweep", "synthetic_gray", "write_pgm", "read_pgm",
     "sweep_to_csv", "bands_to_json",
 ]
@@ -76,10 +76,6 @@ class GrayImage:
     @property
     def normalized(self) -> np.ndarray:
         return self.pixels / 255.0
-
-    @classmethod
-    def constant(cls, value: float, height: int, width: int) -> "GrayImage":
-        return cls(np.full((height, width), float(value)))
 
 
 @dataclass(frozen=True)
@@ -136,10 +132,6 @@ def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResul
     return BrightnessResult(result, result.mean, iters, False)
 
 
-def set_brightness(img: GrayImage, target_gray: float) -> GrayImage:
-    return set_brightness_result(img, target_gray).image
-
-
 def add_gaussian_noise(img: GrayImage, mean: float, var: float, seed=0) -> GrayImage:
     """Seeded Gaussian noise on the normalized scale, clamped to range."""
     mean = float(mean)
@@ -165,33 +157,6 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     # keeps quarter-integer pixel values exact in the squaring, so round
     # decibel ratios (MSE 0.01 -> 20 dB, 0.001 -> 30 dB) are exact floats.
     return 10.0 * math.log10(255.0 * 255.0 * diff.size / sumsq)
-
-
-@dataclass(frozen=True)
-class MaskRect:
-    """Rectangular region: top-left corner (x, y), size w × h, in pixels."""
-
-    x: int
-    y: int
-    w: int
-    h: int
-
-    def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.x < 0 or self.y < 0:
-            raise ValueError("mask origin must be non-negative")
-        if self.w < 1 or self.h < 1:
-            raise ValueError("mask must cover at least one pixel")
-
-
-def mask_histogram(img: GrayImage, mask: MaskRect) -> np.ndarray:
-    """256-bin histogram of the quantized pixels inside the mask."""
-    if mask.x + mask.w > img.width or mask.y + mask.h > img.height:
-        raise ValueError(
-            f"mask {mask} exceeds image bounds {img.width}x{img.height}")
-    region = img.quantized[mask.y:mask.y + mask.h, mask.x:mask.x + mask.w]
-    return np.bincount(region.ravel(), minlength=256)
 
 
 def classify_outcome(tp: int, fp: int, fn: int) -> str:
@@ -231,9 +196,7 @@ class SweepConfig:
     hi: float
     coarse_step: float
     fine_step: float
-    noise_axis: str = "joint"      # "joint" | "mean" | "var"
-    fixed_mean: float = 0.0        # held constant when noise_axis == "var"
-    fixed_var: float = 0.0         # held constant when noise_axis == "mean"
+    noise_axis: str = "joint"      # "joint" | "mean" | "var" (the other held at 0)
     seed: int = 42
 
     def __post_init__(self):
@@ -241,7 +204,7 @@ class SweepConfig:
             raise ValueError(f"mode must be brightness or noise, got {self.mode!r}")
         if self.noise_axis not in ("joint", "mean", "var"):
             raise ValueError(f"noise_axis must be joint, mean or var, got {self.noise_axis!r}")
-        for name in ("lo", "hi", "coarse_step", "fine_step", "fixed_mean", "fixed_var"):
+        for name in ("lo", "hi", "coarse_step", "fine_step"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.lo <= self.hi):
             raise ValueError(f"need lo <= hi, got {self.lo} > {self.hi}")
@@ -294,8 +257,8 @@ def _noise_params(cfg: SweepConfig, level: float) -> tuple[float, float]:
     if cfg.noise_axis == "joint":
         return level, level
     if cfg.noise_axis == "mean":
-        return level, cfg.fixed_var
-    return cfg.fixed_mean, level
+        return level, 0.0
+    return 0.0, level
 
 
 def _degrade(img: GrayImage, cfg: SweepConfig, level: float):
@@ -407,7 +370,13 @@ def read_pgm(path) -> GrayImage:
             tokens.append(tok)
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: PGM width, height and maxval must be integers, "
+                         f"got {b' '.join(tokens[1:]).decode('ascii', 'replace')!r}") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM size must be at least 1x1, got {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -3,8 +3,7 @@
 A FeatureTensor is an immutable (batch, channel, height, width) float64
 array. The operators here are the handful needed downstream — 2-d
 cross-correlation, channel/spatial pooling, sigmoid, broadcast products —
-plus a central-finite-difference gradient checker and a tiny named-array
-blob format for CLI round-trips.
+plus a tiny named-array blob format for CLI round-trips.
 
 Blob layout (little-endian throughout):
 
@@ -21,9 +20,9 @@ Records are written sorted by name so equal inputs give equal bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,10 +31,9 @@ from scipy.special import expit
 from ._common import frozen_array
 
 __all__ = [
-    "FeatureTensor", "Conv2DParams", "FiniteDiffReport",
+    "FeatureTensor", "Conv2DParams",
     "conv2d", "channel_pool", "spatial_pool", "sigmoid", "hadamard",
-    "finite_diff_check", "write_blob", "read_blob",
-    "write_tensor_blob", "read_tensor_blob",
+    "write_blob", "read_blob", "read_tensor_blob",
 ]
 
 
@@ -58,10 +56,6 @@ class FeatureTensor:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
-
-    @classmethod
-    def zeros(cls, shape) -> "FeatureTensor":
-        return cls(np.zeros(shape))
 
     @classmethod
     def random(cls, shape, rng: np.random.Generator, scale: float = 1.0) -> "FeatureTensor":
@@ -158,43 +152,6 @@ def hadamard(x: FeatureTensor, m: FeatureTensor) -> FeatureTensor:
     return FeatureTensor(x.data * m.data)
 
 
-@dataclass(frozen=True)
-class FiniteDiffReport:
-    max_rel_error: float
-    max_abs_error: float
-    n_coords: int
-    passed: bool
-
-
-def finite_diff_check(f: Callable[[FeatureTensor], float], x: FeatureTensor,
-                      analytic_grad, step: float = 1e-5,
-                      tol: float = 1e-6) -> FiniteDiffReport:
-    """Central differences of f at x, coordinate by coordinate, vs
-    analytic_grad (array or FeatureTensor of x's shape).
-
-    Per-coordinate relative error |fd − an| / max(|fd|, |an|, 1e-8); the
-    report passes when the worst coordinate stays within tol.
-    """
-    grad = analytic_grad.data if isinstance(analytic_grad, FeatureTensor) else np.asarray(analytic_grad, dtype=float)
-    if grad.shape != x.shape:
-        raise ValueError(f"analytic_grad shape {grad.shape} != tensor shape {x.shape}")
-    base = x.data
-    max_rel = 0.0
-    max_abs = 0.0
-    for idx in np.ndindex(*base.shape):
-        bumped = base.copy()
-        bumped[idx] = base[idx] + step
-        f_hi = float(f(FeatureTensor(bumped)))
-        bumped[idx] = base[idx] - step
-        f_lo = float(f(FeatureTensor(bumped)))
-        fd = (f_hi - f_lo) / (2.0 * step)
-        an = float(grad[idx])
-        err = abs(fd - an)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / max(abs(fd), abs(an), 1e-8))
-    return FiniteDiffReport(max_rel, max_abs, int(np.prod(base.shape)), max_rel <= tol)
-
-
 # ---------------------------------------------------------------------------
 # blob serialization
 # ---------------------------------------------------------------------------
@@ -229,36 +186,40 @@ def read_blob(path) -> dict:
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a tensor blob (bad magic {raw[:4]!r})")
     pos = 4
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if len(raw) - pos < n:
+            raise ValueError(f"{path}: truncated {what} at byte {pos} "
+                             f"(needs {n} bytes, {len(raw) - pos} left)")
+        pos += n
+        return raw[pos - n:pos]
+
+    (count,) = struct.unpack("<I", take(4, "record count"))
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        code, ndim = struct.unpack_from("<BB", raw, pos)
-        pos += 2
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = take(name_len, "record name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: record name at byte {pos - name_len} is not UTF-8") from None
+        code, ndim = struct.unpack("<BB", take(2, f"header of {name!r}"))
         if code not in _CODE_DTYPES:
             raise ValueError(f"{path}: unknown dtype code {code}")
-        dims = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"dims of {name!r}"))
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        a = np.frombuffer(raw[pos:pos + nbytes], dtype=dtype).reshape(dims)
-        pos += nbytes
-        out[name] = a.copy()
+        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
+        out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after last record")
     return out
-
-
-def write_tensor_blob(path, x: FeatureTensor) -> None:
-    write_blob(path, {"tensor": x.data})
 
 
 def read_tensor_blob(path) -> FeatureTensor:
     arrays = read_blob(path)
     if "tensor" not in arrays:
         raise ValueError(f"{path}: blob has no 'tensor' record (found {sorted(arrays)})")
-    return FeatureTensor(arrays["tensor"])
+    try:
+        return FeatureTensor(arrays["tensor"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -4,15 +4,13 @@ import pytest
 from detnum.attention import (
     ChannelAttnParams,
     SpatialAttnParams,
-    apply_channel,
-    apply_spatial,
     cbam,
     channel_attention_weights,
     spatial_attention_map,
 )
 from detnum.tensor import Conv2DParams, FeatureTensor, hadamard
 
-from helpers import channel_weights_loops, parallel_attention, sigmoid_ref
+from helpers import channel_weights_loops, parallel_attention
 
 
 def rand_params(rng, channels, reduction=4, kernel=7):
@@ -69,7 +67,7 @@ def test_spatial_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_spatial_map_zero_everything_is_half():
-    x = FeatureTensor.zeros((2, 3, 5, 5))
+    x = FeatureTensor(np.zeros((2, 3, 5, 5)))
     m = spatial_attention_map(x, zero_bias_spatial())
     assert m.shape == (2, 1, 5, 5)
     assert np.all(m.data == 0.5)
@@ -95,8 +93,8 @@ def test_spatial_map_strictly_inside_unit_interval():
 
 def test_apply_spatial_zero_input_stays_zero():
     rng = np.random.default_rng(181)
-    x = FeatureTensor.zeros((1, 2, 6, 6))
-    y = apply_spatial(x, SpatialAttnParams.random(7, rng=rng))
+    x = FeatureTensor(np.zeros((1, 2, 6, 6)))
+    y = hadamard(x, spatial_attention_map(x, SpatialAttnParams.random(7, rng=rng)))
     assert np.all(y.data == 0.0)
 
 
@@ -106,7 +104,7 @@ def test_apply_spatial_matches_manual_composition():
     sp = SpatialAttnParams.random(5, rng=rng)
     m = spatial_attention_map(x, sp)
     want = x.data * m.data  # broadcast across channels
-    assert np.abs(apply_spatial(x, sp).data - want).max() < 1e-15
+    assert np.abs(hadamard(x, m).data - want).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +112,11 @@ def test_apply_spatial_matches_manual_composition():
 # ---------------------------------------------------------------------------
 
 def test_channel_weights_zero_mlp_gives_half_and_zero_output_on_zero_input():
-    x = FeatureTensor.zeros((2, 4, 3, 3))
+    x = FeatureTensor(np.zeros((2, 4, 3, 3)))
     p = zero_channel_params(4)
     w = channel_attention_weights(x, p)
     assert np.all(w.data == 0.5)
-    assert np.all(apply_channel(x, p).data == 0.0)
+    assert np.all(hadamard(x, w).data == 0.0)
 
 
 def test_channel_weights_identical_channels_get_identical_weights():
@@ -157,7 +155,7 @@ def test_channel_weights_in_open_interval():
 def test_channel_weights_channel_count_mismatch():
     rng = np.random.default_rng(211)
     with pytest.raises(ValueError):
-        channel_attention_weights(FeatureTensor.zeros((1, 5, 3, 3)),
+        channel_attention_weights(FeatureTensor(np.zeros((1, 5, 3, 3))),
                                   ChannelAttnParams.random(4, 2, rng=rng))
 
 
@@ -168,7 +166,7 @@ def test_channel_weights_channel_count_mismatch():
 def test_cbam_zero_input_zero_output():
     rng = np.random.default_rng(223)
     cp, sp = rand_params(rng, 4)
-    r = cbam(FeatureTensor.zeros((2, 4, 6, 6)), cp, sp)
+    r = cbam(FeatureTensor(np.zeros((2, 4, 6, 6))), cp, sp)
     assert np.all(r.output.data == 0.0)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detnum.cli import main
-from detnum.tensor import read_blob
+from detnum.tensor import read_blob, write_blob
 
 
 def run(capsys, *argv):
@@ -140,6 +140,15 @@ def test_match_verify_square_random(capsys):
     assert s["mp"] >= s["kp"] - 1e-9
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "3:0", "2:x", "2:3:4"])
+def test_match_verify_random_size_errors_name_the_flag(capsys, value):
+    code, out, err = run(capsys, "match-verify", "--random", value)
+    assert code == 1
+    assert out == ""
+    assert "--random expects N or N:M" in err
+    assert repr(value) in err
+
+
 def test_match_verify_rectangular_random(capsys):
     code, out, _ = run(capsys, "match-verify", "--random", "3:2")
     assert code == 0
@@ -265,6 +274,24 @@ def test_sweep_outcomes_file_bad_level_has_position(capsys, tmp_path):
     assert "'abc'" in err
 
 
+def test_sweep_outcomes_file_repeated_level_rejected(capsys, tmp_path):
+    oc = tmp_path / "outcomes.txt"
+    oc.write_text("0 clean\n# rerun\n0.0 fail\n")
+    code, out, err = run(capsys, "sweep", "--mode", "noise", "--range", "0:1:0.5",
+                         "--outcomes", str(oc))
+    assert code == 1
+    assert out == ""
+    assert "outcomes.txt:3: level 0.0 already given on line 1" in err
+
+
+@pytest.mark.parametrize("value", ["a:b:c", "1:2", "1:2:3:4"])
+def test_sweep_profile_errors_name_the_flag(capsys, value):
+    code, out, err = run(capsys, "sweep", "--range", "0:20:10", "--profile", value)
+    assert code == 1
+    assert out == ""
+    assert f"--profile expects three numbers FAIL_HI:CLEAN_LO:CLEAN_HI, got {value!r}" in err
+
+
 def test_sweep_range_validation(capsys):
     code, _, err = run(capsys, "sweep", "--range", "10:20")
     assert code == 1
@@ -322,10 +349,9 @@ def test_attn_demo_writes_blob(capsys, tmp_path):
 
 
 def test_attn_demo_reads_blob_input(capsys, tmp_path):
-    from detnum.tensor import FeatureTensor, write_tensor_blob
     rng = np.random.default_rng(5)
     path = tmp_path / "x.ntb"
-    write_tensor_blob(path, FeatureTensor.random((2, 8, 5, 5), rng))
+    write_blob(path, {"tensor": rng.normal(size=(2, 8, 5, 5))})
     code, out, _ = run(capsys, "attn-demo", "--input", str(path))
     assert code == 0
     assert config_of(out)["input"] == "x.ntb"

@@ -158,7 +158,7 @@ def test_fusion_block_identity_branches_reduce_to_merge_conv():
 def test_fusion_block_zero_input_is_spatially_constant():
     rng = np.random.default_rng(313)
     params = FusionBlockParams.random(4, rng=rng)
-    y = fusion_block(FeatureTensor.zeros((2, 4, 6, 6)), params).data
+    y = fusion_block(FeatureTensor(np.zeros((2, 4, 6, 6))), params).data
     # bias-only propagation: constant over batch and space per channel
     for ci in range(y.shape[1]):
         assert np.abs(y[:, ci] - y[0, ci, 0, 0]).max() < 1e-12

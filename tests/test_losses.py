@@ -316,6 +316,12 @@ def test_gradient_unknown_kind_rejected():
         loss_gradient("nope", P_WORKED, G_WORKED)
 
 
+@pytest.mark.parametrize("kind", ["siou-std", "siou-standard", "iou-cost", "MKS", " mks"])
+def test_only_canonical_kind_spellings_are_accepted(kind):
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        loss_value(kind, P_WORKED, G_WORKED)
+
+
 def test_gradient_at_coincident_centers_is_finite_and_flagged():
     # same centre, different sizes: the angle term's sqrt sits at 0
     p, g = AABox(4.0, 4.0, 6.0, 3.0), AABox(4.0, 4.0, 2.0, 2.0)

@@ -6,6 +6,7 @@ import pytest
 
 from detnum.boxes import AABox
 from detnum.metrics import (
+    ClassCounts,
     DetectionRecord,
     average_precision,
     confusion_counts,
@@ -297,7 +298,8 @@ def test_evaluate_counts_property():
     gts = [det("a", 0, B1)]
     dets = [det("a", 0, B1, 0.9), det("a", 0, B2, 0.3)]
     rep = evaluate(dets, gts)
-    assert rep.counts == confusion_counts(dets, gts)
+    counts = {c.class_id: ClassCounts(c.tp, c.fp, c.fn) for c in rep.per_class}
+    assert counts == confusion_counts(dets, gts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,14 @@ from detnum.boxes import AABox
 from detnum.metrics import DetectionRecord
 from detnum.robustness import (
     GrayImage,
-    MaskRect,
     SweepConfig,
     add_gaussian_noise,
     bands_to_json,
     classify_outcome,
     grid_levels,
-    mask_histogram,
     outcome_from_records,
     psnr,
     read_pgm,
-    set_brightness,
     set_brightness_result,
     sweep,
     sweep_to_csv,
@@ -74,7 +71,7 @@ def test_synthetic_gray_is_deterministic_and_midrange():
 def test_set_brightness_hits_targets_within_one_gray_level():
     img = synthetic_gray(42)
     for target in grid_levels(18, 160, 10):
-        out = set_brightness(img, target)
+        out = set_brightness_result(img, target).image
         assert abs(out.mean - target) <= 1.0, target
     assert len(grid_levels(18, 160, 10)) == 15
 
@@ -95,7 +92,7 @@ def test_set_brightness_with_heavy_clipping_still_converges():
 
 
 def test_set_brightness_idempotent_once_on_target():
-    img = set_brightness(synthetic_gray(42), 90.0)
+    img = set_brightness_result(synthetic_gray(42), 90.0).image
     again = set_brightness_result(img, 90.0)
     assert again.iterations == 1
     assert abs(again.achieved_mean - img.mean) <= 0.5
@@ -114,15 +111,15 @@ def test_set_brightness_all_zero_fallback():
 
 
 def test_set_brightness_zero_target_blanks_image():
-    out = set_brightness(synthetic_gray(42), 0.0)
+    out = set_brightness_result(synthetic_gray(42), 0.0).image
     assert np.all(out.pixels == 0.0)
 
 
 def test_set_brightness_target_validation():
     with pytest.raises(ValueError):
-        set_brightness(synthetic_gray(42), 300.0)
+        set_brightness_result(synthetic_gray(42), 300.0)
     with pytest.raises(ValueError):
-        set_brightness(synthetic_gray(42), -1.0)
+        set_brightness_result(synthetic_gray(42), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,7 @@ def test_noise_is_seed_deterministic():
 
 def test_noise_empirical_mse_matches_var():
     # mid-gray so clipping is astronomically unlikely at sigma = 0.1
-    img = GrayImage.constant(127.5, 1000, 1000)
+    img = GrayImage(np.full((1000, 1000), 127.5))
     noisy = add_gaussian_noise(img, 0.0, 0.01, seed=3)
     diff = noisy.normalized - img.normalized
     mse = float(np.mean(diff * diff))
@@ -168,8 +165,8 @@ def test_psnr_identical_images_is_infinite():
 
 def test_psnr_twenty_db_fixture():
     # constant offset of 25.5 gray levels = 0.1 normalized, MSE 0.01
-    a = GrayImage.constant(0.0, 4, 4)
-    b = GrayImage.constant(25.5, 4, 4)
+    a = GrayImage(np.full((4, 4), 0.0))
+    b = GrayImage(np.full((4, 4), 25.5))
     assert psnr(a, b) == 20.0
 
 
@@ -183,7 +180,7 @@ def test_psnr_thirty_db_fixture():
 
 def test_psnr_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        psnr(GrayImage.constant(1, 2, 2), GrayImage.constant(1, 2, 3))
+        psnr(GrayImage(np.full((2, 2), 1)), GrayImage(np.full((2, 3), 1)))
 
 
 def test_psnr_decreases_as_noise_grows():
@@ -191,35 +188,6 @@ def test_psnr_decreases_as_noise_grows():
     values = [psnr(img, add_gaussian_noise(img, 0.0, v, seed=9))
               for v in (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)]
     assert all(a > b for a, b in zip(values, values[1:]))
-
-
-# ---------------------------------------------------------------------------
-# mask histogram
-# ---------------------------------------------------------------------------
-
-def test_mask_histogram_constant_region():
-    img = GrayImage.constant(128.0, 8, 8)
-    hist = mask_histogram(img, MaskRect(1, 1, 4, 3))
-    assert hist[128] == 12
-    assert hist.sum() == 12
-
-
-def test_mask_histogram_whole_image_and_two_tone():
-    px = np.zeros((4, 6))
-    px[:, 3:] = 200.0
-    img = GrayImage(px)
-    hist = mask_histogram(img, MaskRect(0, 0, 6, 4))
-    assert hist.sum() == 24
-    assert hist[0] == 12
-    assert hist[200] == 12
-
-
-def test_mask_histogram_bounds_checked():
-    img = GrayImage.constant(1.0, 4, 4)
-    with pytest.raises(ValueError):
-        mask_histogram(img, MaskRect(2, 2, 3, 1))
-    with pytest.raises(ValueError):
-        MaskRect(0, 0, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +336,7 @@ def test_sweep_noise_axes():
     assert res.entries[0].psnr_db == math.inf   # level 0: untouched image
     assert res.entries[1].psnr_db < math.inf
     assert all(e.achieved_mean is None for e in res.entries)
-    cfg2 = SweepConfig("noise", 0.0, 0.02, 0.01, 0.002, noise_axis="mean",
-                       fixed_var=0.0)
+    cfg2 = SweepConfig("noise", 0.0, 0.02, 0.01, 0.002, noise_axis="mean")
     res2 = sweep(img, cfg2, always("clean"))
     assert len(res2.entries) == 3
 
@@ -430,6 +397,19 @@ def test_pgm_reader_rejects_malformed(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n" + bytes(5))
     with pytest.raises(ValueError):
         read_pgm(p)
+
+
+def test_pgm_reader_header_errors_name_the_file(tmp_path):
+    p = tmp_path / "hdr.pgm"
+    p.write_bytes(b"P5\nabc 3\n255\n")
+    with pytest.raises(ValueError) as info:
+        read_pgm(p)
+    assert str(info.value) == (f"{p}: PGM width, height and maxval must be "
+                               f"integers, got 'abc 3 255'")
+    p.write_bytes(b"P5\n0 3\n255\n")
+    with pytest.raises(ValueError) as info:
+        read_pgm(p)
+    assert str(info.value) == f"{p}: PGM size must be at least 1x1, got 0x3"
 
 
 def test_pgm_reader_rescales_low_maxval(tmp_path):

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from detnum.boxes import AABox
-from detnum.losses import loss_value
 from detnum.tensor import (
     Conv2DParams,
     FeatureTensor,
     channel_pool,
     conv2d,
-    finite_diff_check,
     hadamard,
     read_blob,
     read_tensor_blob,
     sigmoid,
     spatial_pool,
     write_blob,
-    write_tensor_blob,
 )
 
 from helpers import (
@@ -48,7 +44,7 @@ def test_feature_tensor_validation():
 
 
 def test_feature_tensor_immutability():
-    x = FeatureTensor.zeros((1, 1, 2, 2))
+    x = ft(np.zeros((1, 1, 2, 2)))
     with pytest.raises(ValueError):
         x.data[0, 0, 0, 0] = 1.0
 
@@ -88,7 +84,7 @@ def test_conv_box_kernel_on_constant_input():
 
 
 def test_conv_zero_input_yields_bias():
-    x = FeatureTensor.zeros((2, 3, 4, 4))
+    x = ft(np.zeros((2, 3, 4, 4)))
     rng = np.random.default_rng(109)
     p = Conv2DParams(rng.normal(size=(5, 3, 3, 3)), np.array([1.0, -2.0, 0.5, 0.0, 3.0]))
     y = conv2d(x, p).data
@@ -122,7 +118,7 @@ def test_conv_matches_loop_oracle_over_grid():
 
 
 def test_conv_rejects_channel_mismatch_and_undersized_input():
-    x = FeatureTensor.zeros((1, 2, 4, 4))
+    x = ft(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError):
         conv2d(x, Conv2DParams(np.zeros((1, 3, 3, 3)), np.zeros(1)))
     with pytest.raises(ValueError):
@@ -161,7 +157,7 @@ def test_pools_match_loop_oracles():
 
 
 def test_sigmoid_at_zero_and_oracle():
-    z = FeatureTensor.zeros((1, 1, 2, 2))
+    z = ft(np.zeros((1, 1, 2, 2)))
     assert np.all(sigmoid(z).data == 0.5)
     rng = np.random.default_rng(137)
     x = rand_ft(rng, (2, 3, 4, 4), scale=3.0)
@@ -183,54 +179,7 @@ def test_hadamard_ones_identity_and_broadcast():
 
 def test_hadamard_rejects_incompatible_shapes():
     with pytest.raises(ValueError):
-        hadamard(FeatureTensor.zeros((1, 3, 4, 4)), FeatureTensor.zeros((1, 2, 4, 4)))
-
-
-# ---------------------------------------------------------------------------
-# finite_diff_check
-# ---------------------------------------------------------------------------
-
-def test_finite_diff_linear_functional_is_machine_exact():
-    rng = np.random.default_rng(149)
-    x = rand_ft(rng, (1, 2, 3, 3))
-    rep = finite_diff_check(lambda t: float(t.data.sum()), x,
-                            np.ones(x.shape), step=1e-5, tol=1e-9)
-    assert rep.passed
-    assert rep.max_rel_error < 1e-9
-    assert rep.n_coords == x.data.size
-
-
-def test_finite_diff_sigmoid_sum():
-    rng = np.random.default_rng(151)
-    x = rand_ft(rng, (1, 2, 3, 3))
-    s = sigmoid_ref(x.data)
-    rep = finite_diff_check(lambda t: float(sigmoid(t).data.sum()), x,
-                            s * (1.0 - s), step=1e-5, tol=1e-6)
-    assert rep.passed
-
-
-def test_finite_diff_flags_wrong_gradient():
-    x = FeatureTensor(np.full((1, 1, 2, 2), 0.3))
-    rep = finite_diff_check(lambda t: float(t.data.sum()), x,
-                            2.0 * np.ones(x.shape), step=1e-5, tol=1e-6)
-    assert not rep.passed
-
-
-def test_finite_diff_drives_box_loss():
-    # a 1x4 tensor viewed as box fields: the loss machinery is reachable
-    # through the generic checker
-    g = AABox(2, 2, 2, 2)
-
-    def f(t):
-        cx, cy, w, h = t.data.ravel()
-        return loss_value("mks", AABox(cx, cy, w, h), g)
-
-    x = FeatureTensor(np.array([1.0, 1.0, 2.0, 2.0]).reshape(1, 1, 1, 4))
-    from detnum.losses import loss_gradient
-    grad = np.array(loss_gradient("mks", AABox(1, 1, 2, 2), g).grad).reshape(1, 1, 1, 4)
-    rep = finite_diff_check(f, x, grad, step=1e-5, tol=1e-4)
-    assert rep.passed
-    assert rep.max_rel_error < 1e-4
+        hadamard(ft(np.zeros((1, 3, 4, 4))), ft(np.zeros((1, 2, 4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +217,17 @@ def test_blob_rejects_bad_magic_and_truncation(tmp_path):
     with pytest.raises(ValueError):
         read_blob(p)
     good = tmp_path / "good.ntb"
-    write_blob(good, {"t": np.zeros((2, 2))})
+    write_blob(good, {"t": np.zeros((2, 2)), "u": np.ones(3, dtype=np.float32)})
     raw = good.read_bytes()
-    (tmp_path / "trunc.ntb").write_bytes(raw[:-5])
-    with pytest.raises(ValueError):
-        read_blob(tmp_path / "trunc.ntb")
+    trunc = tmp_path / "trunc.ntb"
+    for cut in range(len(raw)):
+        trunc.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as info:
+            read_blob(trunc)
+        assert str(info.value).startswith(f"{trunc}: "), (cut, str(info.value))
+    (tmp_path / "name.ntb").write_bytes(raw[:10] + b"\xff" + raw[11:])
+    with pytest.raises(ValueError, match=r"name\.ntb: record name at byte 10 is not UTF-8"):
+        read_blob(tmp_path / "name.ntb")
     (tmp_path / "extra.ntb").write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
         read_blob(tmp_path / "extra.ntb")
@@ -282,9 +237,12 @@ def test_tensor_blob_roundtrip(tmp_path):
     rng = np.random.default_rng(167)
     x = rand_ft(rng, (2, 3, 4, 5))
     path = tmp_path / "t.ntb"
-    write_tensor_blob(path, x)
+    write_blob(path, {"tensor": x.data})
     back = read_tensor_blob(path)
     assert np.array_equal(back.data, x.data)
     write_blob(path, {"other": np.zeros(3)})
     with pytest.raises(ValueError):
+        read_tensor_blob(path)
+    write_blob(path, {"tensor": np.full((1, 1, 2, 2), np.nan)})
+    with pytest.raises(ValueError, match=r"t\.ntb: FeatureTensor entries must be finite"):
         read_tensor_blob(path)
