@@ -71,6 +71,8 @@ class ChannelAttnParams:
     @classmethod
     def random(cls, channels: int, reduction_ratio: int = 16, *,
                rng: np.random.Generator) -> "ChannelAttnParams":
+        if int(reduction_ratio) < 1:
+            raise ValueError(f"reduction_ratio must be >= 1, got {reduction_ratio}")
         hidden = max(1, channels // reduction_ratio)
         return cls(
             w1=rng.normal(0.0, 1.0 / np.sqrt(channels), size=(hidden, channels)),

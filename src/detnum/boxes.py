@@ -5,15 +5,15 @@ All overlap arithmetic is done in corner space so that identical boxes give
 an IoU of exactly 1.0 (floating-point round-trips through w/2 never enter
 the intersection/union ratio asymmetrically).
 
-The geometry is written once: `corners`, `overlap` and `enclosure` take
-(cx, cy, w, h) tuples of floats or `dual.Dual`s, and `iou_matrix` repeats
-`overlap` op for op on NumPy arrays.
+A box is its (cx, cy, w, h) tuple, so the geometry is written once:
+`corners`, `overlap` and `enclosure` take such tuples of floats or
+`dual.Dual`s, and `iou_matrix` repeats `overlap` op for op on arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -49,34 +49,34 @@ def enclosure(pf, gf):
     return dm.vmax(px2, gx2) - dm.vmin(px1, gx1), dm.vmax(py2, gy2) - dm.vmin(py1, gy1)
 
 
-@dataclass(frozen=True)
-class AABox:
+class AABox(namedtuple("AABox", "cx cy w h")):
     """Axis-aligned box: center (cx, cy) and strictly positive size (w, h).
 
-    Degenerate zero-area boxes are rejected at construction rather than
-    yielding NaNs downstream. A box unpacks as its (cx, cy, w, h) tuple.
+    A validated namedtuple: degenerate zero-area boxes are rejected at
+    construction (and by `_make` and `_replace`) rather than yielding NaNs
+    downstream.
     """
 
-    cx: float
-    cy: float
-    w: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            v = getattr(self, name)
+    def __new__(cls, cx, cy, w, h):
+        vals = []
+        for name, v in zip(cls._fields, (cx, cy, w, h)):
             try:
-                v = float(v)
+                f = float(v)
             except (TypeError, ValueError):
                 raise ValueError(f"AABox.{name} must be a real number, got {v!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"AABox.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.w <= 0.0 or self.h <= 0.0:
-            raise ValueError(f"AABox needs w > 0 and h > 0, got w={self.w}, h={self.h}")
+            if not math.isfinite(f):
+                raise ValueError(f"AABox.{name} must be finite, got {f!r}")
+            vals.append(f)
+        if vals[2] <= 0.0 or vals[3] <= 0.0:
+            raise ValueError(f"AABox needs w > 0 and h > 0, got w={vals[2]}, h={vals[3]}")
+        return tuple.__new__(cls, vals)
 
-    def __iter__(self):
-        return iter((self.cx, self.cy, self.w, self.h))
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds through _make
+        return cls(*iterable)
 
     @property
     def corners(self) -> tuple[float, float, float, float]:
@@ -93,7 +93,7 @@ def iou(p: AABox, g: AABox) -> float:
     """Intersection over union of two boxes.
 
     Symmetric; 0.0 for disjoint boxes (edge contact counts as zero overlap),
-    exactly 1.0 for identical boxes. Also takes tuples, like `overlap`.
+    exactly 1.0 for identical boxes.
     """
     return overlap(p, g)[0]
 
@@ -104,8 +104,8 @@ def iou_matrix(preds, gts) -> np.ndarray:
     `overlap` on broadcast arrays, in the same operation order, so every
     entry equals the scalar `iou` bit for bit.
     """
-    p = np.array([tuple(b) for b in preds], dtype=float).reshape(-1, 4)
-    g = np.array([tuple(b) for b in gts], dtype=float).reshape(-1, 4)
+    p = np.array(preds, dtype=float).reshape(-1, 4)
+    g = np.array(gts, dtype=float).reshape(-1, 4)
     px1, py1, px2, py2 = corners(p.T[:, :, None])
     gx1, gy1, gx2, gy2 = corners(g.T[:, None, :])
     iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)

@@ -8,7 +8,8 @@ Every subcommand prints three things to stdout, in order:
 
 Outputs carry no timestamps and no absolute paths, so a re-run with the
 same config is byte-identical — the tables golden-file cleanly. Exit code
-is 0 iff every check the command performs passes.
+is 0 iff every check the command performs passes; a command that fails
+with an error prints nothing on stdout.
 
 Subcommands: loss-compare, match, match-verify, eval, sweep, fuse-check,
 gradcheck, attn-demo.
@@ -17,6 +18,8 @@ gradcheck, attn-demo.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -87,8 +90,7 @@ def _parse_pairs_file(path) -> list[tuple[AABox, AABox]]:
                 raise ValueError(
                     f"{_base(path)}:{lineno}: expected 8 numbers per pair, got {len(parts)}")
             try:
-                vals = [float(v) for v in parts]
-                pairs.append((AABox(*vals[:4]), AABox(*vals[4:])))
+                pairs.append((AABox(*parts[:4]), AABox(*parts[4:])))
             except ValueError as exc:
                 raise ValueError(f"{_base(path)}:{lineno}: {exc}") from None
     return pairs
@@ -326,7 +328,7 @@ def cmd_sweep(args) -> int:
         def base_scorer(level, _img):
             key = round(level, 12)
             if key not in table:
-                raise ValueError(f"outcomes file has no entry for level {level:g}")
+                raise ValueError(f"{_base(args.outcomes)}: no entry for level {level:g}")
             return table[key]
     elif args.profile:
         base_scorer = _parse_profile(args.profile)
@@ -371,6 +373,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fuse_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     _config(command="fuse-check", trials=args.trials, tol=args.tol,
             block=args.block, seed=args.seed)
@@ -416,11 +420,10 @@ def cmd_fuse_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _fd_gradient(kind: str, p: AABox, g: AABox, theta: float, h: float):
-    vals = (p.cx, p.cy, p.w, p.h)
     out = []
     for i in range(4):
-        hi = list(vals)
-        lo = list(vals)
+        hi = list(p)
+        lo = list(p)
         hi[i] += h
         lo[i] -= h
         f_hi = loss_value(kind, AABox(*hi), g, theta=theta)
@@ -430,14 +433,13 @@ def _fd_gradient(kind: str, p: AABox, g: AABox, theta: float, h: float):
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     kinds = _split_kinds(args.kinds)
-    for kind in kinds:
-        loss_value(kind, AABox(0, 0, 1, 1), AABox(0.5, 0, 1, 1), theta=args.theta)
     _config(command="gradcheck", kinds=kinds, trials=args.trials,
             step=args.step, tol=args.tol, theta=args.theta, seed=args.seed)
     margin = 10.0 * args.step
-    checked = {k: 0 for k in kinds}
     excluded = {k: 0 for k in kinds}
     max_err = {k: 0.0 for k in kinds}
     for _ in range(args.trials):
@@ -455,10 +457,10 @@ def cmd_gradcheck(args) -> int:
     rows = []
     all_ok = True
     for kind in kinds:
-        checked[kind] = args.trials - excluded[kind]
-        ok = checked[kind] > 0 and max_err[kind] < args.tol
+        checked = args.trials - excluded[kind]
+        ok = checked > 0 and max_err[kind] < args.tol
         all_ok &= ok
-        rows.append((kind, checked[kind], excluded[kind], max_err[kind], ok))
+        rows.append((kind, checked, excluded[kind], max_err[kind], ok))
     _table("kind,pairs_checked,excluded,max_rel_err,ok", rows)
     _summary(trials=args.trials, step=args.step, tol=args.tol,
              all_passed=all_ok, seed=args.seed)
@@ -603,11 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

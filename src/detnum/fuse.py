@@ -157,31 +157,26 @@ class FusionBlockParams:
         return self.conv_a.in_channels + self.conv_b.in_channels
 
     @classmethod
-    def random(cls, channels: int, *, rng: np.random.Generator,
-               kernel_size: int = 3, out_channels=None) -> "FusionBlockParams":
+    def random(cls, channels: int, *, rng: np.random.Generator) -> "FusionBlockParams":
+        """3x3 branches of channels/2 each and a 1x1 merge back to channels."""
         if channels % 2:
             raise ValueError(f"fusion block needs an even channel count, got {channels}")
         half = channels // 2
-        k = int(kernel_size)
-        if out_channels is None:
-            out_channels = channels
-        branch_out = half
 
         def branch_conv():
             return Conv2DParams(
-                weights=rng.normal(0.0, 1.0 / (k * np.sqrt(half)), size=(branch_out, half, k, k)),
-                bias=rng.normal(0.0, 0.1, size=branch_out),
+                weights=rng.normal(0.0, 1.0 / (3 * np.sqrt(half)), size=(half, half, 3, 3)),
+                bias=rng.normal(0.0, 0.1, size=half),
                 stride=1,
-                padding=(k - 1) // 2,
+                padding=1,
             )
 
         merge = Conv2DParams(
-            weights=rng.normal(0.0, 1.0 / np.sqrt(2 * branch_out),
-                               size=(out_channels, 2 * branch_out, 1, 1)),
-            bias=rng.normal(0.0, 0.1, size=out_channels),
+            weights=rng.normal(0.0, 1.0 / np.sqrt(channels), size=(channels, channels, 1, 1)),
+            bias=rng.normal(0.0, 0.1, size=channels),
         )
-        return cls(branch_conv(), BNParams.random(branch_out, rng=rng),
-                   branch_conv(), BNParams.random(branch_out, rng=rng), merge)
+        return cls(branch_conv(), BNParams.random(half, rng=rng),
+                   branch_conv(), BNParams.random(half, rng=rng), merge)
 
 
 def fusion_block(x: FeatureTensor, params: FusionBlockParams) -> FeatureTensor:

@@ -80,9 +80,9 @@ class LossBreakdown:
 class GradientResult:
     """Value and d/d(cx, cy, w, h) of the prediction box for one loss kind.
 
-    singular is True when the pair sits within singular_tol of a branch
-    point; the gradient then is the one-sided derivative of the branch the
-    primal values select (the zero vector for exactly identical boxes).
+    singular is True when the pair sits within 1e-9 of a branch point; the
+    gradient then is the one-sided derivative of the branch the primal
+    values select (the zero vector for exactly identical boxes).
     """
 
     value: float
@@ -204,7 +204,7 @@ def _check_kind(kind: str) -> str:
 
 def angle_cost(p: AABox, g: AABox) -> float:
     """Angle cost Λ ∈ [0, 1]; 0 at axis alignment, 1 at 45° alignment."""
-    return float(_angle_core(tuple(p), tuple(g)))
+    return float(_angle_core(p, g))
 
 
 def distance_cost(p: AABox, g: AABox, lam: float) -> float:
@@ -212,13 +212,13 @@ def distance_cost(p: AABox, g: AABox, lam: float) -> float:
     lam = float(lam)
     if not (-1e-12 <= lam <= 1.0 + 1e-12):
         raise ValueError(f"lam must be an angle cost in [0, 1], got {lam!r}")
-    return float(_distance_core(tuple(p), tuple(g), lam))
+    return float(_distance_core(p, g, lam))
 
 
 def shape_cost(p: AABox, g: AABox, theta: float = DEFAULT_THETA) -> float:
     """Shape cost Ω ∈ [0, 2); symmetric in the two boxes' sizes."""
     theta = _check_theta(theta)
-    return float(_shape_core(tuple(p), tuple(g), theta))
+    return float(_shape_core(p, g, theta))
 
 
 def mks_loss(p: AABox, g: AABox, negative_iou: float,
@@ -232,10 +232,9 @@ def mks_loss(p: AABox, g: AABox, negative_iou: float,
     negative_iou = float(negative_iou)
     if not math.isfinite(negative_iou):
         raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
-    pf, gf = tuple(p), tuple(g)
-    lam = float(_angle_core(pf, gf))
-    delta = float(_distance_core(pf, gf, lam))
-    omega = float(_shape_core(pf, gf, theta))
+    lam = float(_angle_core(p, g))
+    delta = float(_distance_core(p, g, lam))
+    omega = float(_shape_core(p, g, theta))
     iuc = 1.0 - _box_iou(p, g)
     total = negative_iou * iuc + (delta + omega) / 2.0
     return LossBreakdown(angle_cost=lam, distance_cost=delta, shape_cost=omega,
@@ -260,7 +259,7 @@ def loss_value(kind: str, p: AABox, g: AABox, *,
     """
     k = _check_kind(kind)
     theta = _check_theta(theta)
-    return float(_dispatch(k, tuple(p), tuple(g), theta, negative_iou))
+    return float(_dispatch(k, p, g, theta, negative_iou))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +309,13 @@ def singularity_reasons(kind: str, p: AABox, g: AABox, tol: float = 1e-9) -> tup
 
 
 def loss_gradient(kind: str, p: AABox, g: AABox, *,
-                  theta: float = DEFAULT_THETA, negative_iou=None,
-                  singular_tol: float = 1e-9) -> GradientResult:
+                  theta: float = DEFAULT_THETA, negative_iou=None) -> GradientResult:
     """Analytic d/d(cx, cy, w, h) of the prediction box for one loss kind.
 
     Forward-mode duals through the same formulas as loss_value, so value
     and gradient always describe the same function. At exactly identical
     boxes the (sub)gradient convention is the zero vector, flagged
-    singular; near-branch-point pairs (within singular_tol) keep their
+    singular; near-branch-point pairs (within 1e-9) keep their
     one-sided derivative but are flagged so callers can exclude them from
     finite-difference comparisons.
     """
@@ -330,7 +328,7 @@ def loss_gradient(kind: str, p: AABox, g: AABox, *,
     if p == g:
         val = loss_value(k, p, g, theta=theta, negative_iou=negative_iou)
         return GradientResult(val, (0.0, 0.0, 0.0, 0.0), True, ("identical-boxes",))
-    reasons = singularity_reasons(k, p, g, tol=singular_tol)
+    reasons = singularity_reasons(k, p, g)
     pd = dm.seed(p)
-    out = _dispatch(k, pd, tuple(g), theta, negative_iou)
+    out = _dispatch(k, pd, g, theta, negative_iou)
     return GradientResult(dm.value(out), dm.grad(out), bool(reasons), reasons)

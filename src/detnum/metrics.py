@@ -16,12 +16,13 @@ the boundary — per-scenario results are reproducible to the last bit.
 add no recall and cannot raise the envelope.
 
 Record files are line-delimited: `image_id class_id cx cy w h [confidence]`
-(confidence defaults to 1.0, as for ground truths). Blank lines and lines
-starting with '#' are skipped.
+(confidence defaults to 1.0, as for ground truths) and parse into validated
+`DetectionRecord` tuples. Blank lines and lines starting with '#' are skipped.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -37,22 +38,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(namedtuple("DetectionRecord", "image_id class_id box confidence")):
     """One scored box. Ground truths reuse this with confidence 1."""
 
-    image_id: str
-    class_id: int
-    box: AABox
-    confidence: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "image_id", str(self.image_id))
-        object.__setattr__(self, "class_id", int(self.class_id))
-        conf = float(self.confidence)
+    def __new__(cls, image_id, class_id, box, confidence=1.0):
+        conf = float(confidence)
         if not (0.0 <= conf <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {conf!r}")
-        object.__setattr__(self, "confidence", conf)
+        return tuple.__new__(cls, (str(image_id), int(class_id), box, conf))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds through _make
+        return cls(*iterable)
 
 
 class ClassCounts(NamedTuple):
@@ -75,48 +75,35 @@ def _check_threshold(iou_threshold: float) -> float:
     return t
 
 
-def _ranked_match_flags(dets: Sequence[DetectionRecord],
-                        gts: Sequence[DetectionRecord],
-                        class_id: int, iou_threshold: float) -> tuple[list[bool], int]:
-    """Confidence-ranked TP/FP flags for one class, plus its gt count."""
-    cls_gts: dict[str, list] = {}
-    n_gt = 0
+def _match_flags(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
+                 iou_threshold: float) -> dict[int, tuple[list[bool], int]]:
+    """Per class, in class order: confidence-ranked TP/FP flags and gt count,
+    from one pass that pools ground truths by (class, image)."""
+    pools: dict[tuple[int, str], list] = {}
+    n_gt: dict[int, int] = {}
     for g in gts:
-        if g.class_id == class_id:
-            cls_gts.setdefault(g.image_id, []).append([g.box, False])
-            n_gt += 1
-    # stable rank: confidence descending, insertion order on ties
-    indexed = [(i, d) for i, d in enumerate(dets) if d.class_id == class_id]
-    indexed.sort(key=lambda item: (-item[1].confidence, item[0]))
-    flags = []
-    for _, det in indexed:
-        candidates = cls_gts.get(det.image_id, ())
-        best = -1.0
-        best_entry = None
-        for entry in candidates:
-            if entry[1]:
-                continue
-            overlap = _box_iou(det.box, entry[0])
-            if overlap > best:
-                best = overlap
-                best_entry = entry
-        if best_entry is not None and best >= iou_threshold:
-            best_entry[1] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, n_gt
+        pools.setdefault((g.class_id, g.image_id), []).append(g.box)
+        n_gt[g.class_id] = n_gt.get(g.class_id, 0) + 1
+    flags = {cls: [] for cls in sorted(n_gt.keys() | {d.class_id for d in dets})}
+    # stable sort: confidence descending, insertion order on ties
+    for det in sorted(dets, key=lambda d: -d.confidence):
+        # a matched ground truth leaves its pool; of equal IoUs, the first wins
+        pool = pools.get((det.class_id, det.image_id), ())
+        ious = [_box_iou(det.box, b) for b in pool]
+        best = max(ious, default=-1.0)
+        hit = best >= iou_threshold
+        if hit:
+            del pool[ious.index(best)]
+        flags[det.class_id].append(hit)
+    return {cls: (f, n_gt.get(cls, 0)) for cls, f in flags.items()}
 
 
 def confusion_counts(dets: Sequence[DetectionRecord],
                      gts: Sequence[DetectionRecord],
                      iou_threshold: float = 0.5) -> dict[int, ClassCounts]:
     """Per-class (TP, FP, FN) under the greedy matching protocol."""
-    t = _check_threshold(iou_threshold)
-    classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
     out = {}
-    for cls in classes:
-        flags, n_gt = _ranked_match_flags(dets, gts, cls, t)
+    for cls, (flags, n_gt) in _match_flags(dets, gts, _check_threshold(iou_threshold)).items():
         tp = sum(flags)
         out[cls] = ClassCounts(tp=tp, fp=len(flags) - tp, fn=n_gt - tp)
     return out
@@ -216,11 +203,9 @@ def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
     ap = None.
     """
     t = _check_threshold(iou_threshold)
-    classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
     rows = []
     ap_values = []
-    for cls in classes:
-        flags, n_gt = _ranked_match_flags(dets, gts, cls, t)
+    for cls, (flags, n_gt) in _match_flags(dets, gts, t).items():
         tp = sum(flags)
         fp = len(flags) - tp
         fn = n_gt - tp
@@ -255,11 +240,7 @@ def parse_records(lines, *, source: str = "<records>") -> list[DetectionRecord]:
                 f"{source}:{lineno}: expected 6 or 7 fields "
                 f"(image_id class_id cx cy w h [confidence]), got {len(parts)}")
         try:
-            image_id = parts[0]
-            class_id = int(parts[1])
-            cx, cy, w, h = (float(v) for v in parts[2:6])
-            conf = float(parts[6]) if len(parts) == 7 else 1.0
-            out.append(DetectionRecord(image_id, class_id, AABox(cx, cy, w, h), conf))
+            out.append(DetectionRecord(parts[0], parts[1], AABox(*parts[2:6]), *parts[6:]))
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
     return out

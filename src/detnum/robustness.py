@@ -338,12 +338,12 @@ def bands_to_json(result: SweepResult) -> list[dict]:
 # image helpers / PGM IO
 # ---------------------------------------------------------------------------
 
-def synthetic_gray(seed: int = 42, height: int = 64, width: int = 64) -> GrayImage:
-    """Deterministic mid-range test image (no saturation headroom issues:
+def synthetic_gray(seed: int = 42) -> GrayImage:
+    """Deterministic 64x64 mid-range test image (no saturation headroom issues:
     values stay in [60, 196] so brightness targets up to ~165 rescale
     without clamping)."""
     rng = np.random.default_rng(seed)
-    return GrayImage(rng.uniform(60.0, 196.0, size=(height, width)))
+    return GrayImage(rng.uniform(60.0, 196.0, size=(64, 64)))
 
 
 def write_pgm(img: GrayImage, path) -> None:

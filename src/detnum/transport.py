@@ -358,13 +358,13 @@ def negative_iou(p: AABox, g: AABox, mp_value: float, kp_value: float) -> float:
     return ratio - _box_iou(p, g)
 
 
-def round_plan(plan: np.ndarray, limit=None) -> list[tuple[int, int]]:
+def round_plan(plan: np.ndarray) -> list[tuple[int, int]]:
     """Greedy plan rounding: entries in descending order, accept when both
-    row and column are free; ties resolved by (row, column) order."""
+    row and column are free, until min(n, m) pairs; ties resolved by
+    (row, column) order."""
     plan = np.asarray(plan)
     n, m = plan.shape
-    if limit is None:
-        limit = min(n, m)
+    limit = min(n, m)
     # stable sort on the flattened array keeps row-major (row, col) order
     # among equal entries
     order = np.argsort(-plan, axis=None, kind="stable")
@@ -390,7 +390,6 @@ class MatchConfig:
     tol: float = DEFAULT_TOL
     cost: str = "iou"           # "iou" or "siou"
     theta: float = DEFAULT_THETA
-    anneal: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +415,7 @@ def match(preds, gts, config: MatchConfig | None = None) -> MatchResult:
     preds = list(preds)
     gts = list(gts)
     problem = build_cost_matrix(preds, gts, kind=cfg.cost, theta=cfg.theta)
-    tp = sinkhorn(problem, cfg.epsilon, cfg.max_iters, cfg.tol, anneal=cfg.anneal)
+    tp = sinkhorn(problem, cfg.epsilon, cfg.max_iters, cfg.tol)
     pairs = sorted(round_plan(tp.plan))
     breakdowns = tuple(
         mks_loss(preds[i], gts[j], 1.0 - _box_iou(preds[i], gts[j]), theta=cfg.theta)

@@ -223,10 +223,12 @@ def eval_brute(dets, gts, iou_threshold=0.5):
     """Independent evaluator: per class, rank by confidence, greedily match,
     compute AP as an exact Fraction by direct envelope integration.
 
-    Returns (per_class_ap: dict[class_id, Fraction | None], map: Fraction).
+    Returns (per_class_ap: dict[class_id, Fraction | None], map: Fraction,
+    counts: dict[class_id, (tp, fp, fn)]).
     """
     classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
     per_class: dict[int, Fraction | None] = {}
+    counts: dict[int, tuple[int, int, int]] = {}
     ap_list = []
     for cls in classes:
         cls_gts = [g for g in gts if g.class_id == cls]
@@ -250,6 +252,7 @@ def eval_brute(dets, gts, iou_threshold=0.5):
                 flags.append(True)
             else:
                 flags.append(False)
+        counts[cls] = (sum(flags), len(flags) - sum(flags), n_gt - sum(flags))
         if n_gt == 0:
             per_class[cls] = None
             continue
@@ -268,7 +271,7 @@ def eval_brute(dets, gts, iou_threshold=0.5):
         per_class[cls] = ap
         ap_list.append(ap)
     map_frac = sum(ap_list) / len(ap_list) if ap_list else Fraction(0)
-    return per_class, map_frac
+    return per_class, map_frac, counts
 
 
 # ---------------------------------------------------------------------------

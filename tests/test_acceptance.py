@@ -284,7 +284,7 @@ def test_criterion_9_metrics_equal_brute_force_exactly():
     for _ in range(100):
         dets, gts = _random_scenario(rng)
         rep = evaluate(dets, gts)
-        oracle_per_class, oracle_map = eval_brute(dets, gts)
+        oracle_per_class, oracle_map, _ = eval_brute(dets, gts)
         scenario_ok = rep.map == float(oracle_map)
         for c in rep.per_class:
             want = oracle_per_class[c.class_id]

@@ -50,6 +50,12 @@ def test_channel_params_hidden_width_clamped_to_one():
     assert p.w1.shape == (1, 3)
 
 
+@pytest.mark.parametrize("ratio", [0, -1])
+def test_channel_params_random_rejects_ratio_below_one(ratio):
+    with pytest.raises(ValueError, match=f"reduction_ratio must be >= 1, got {ratio}"):
+        ChannelAttnParams.random(8, ratio, rng=np.random.default_rng(0))
+
+
 def test_spatial_params_validation():
     with pytest.raises(ValueError):
         SpatialAttnParams(Conv2DParams(np.zeros((1, 3, 7, 7)), np.zeros(1),

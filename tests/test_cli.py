@@ -397,6 +397,46 @@ def test_every_command_is_rerun_stable(capsys, tmp_path, pairs_file,
         assert files1 == files2, argv[0]
 
 
+# ---------------------------------------------------------------------------
+# failing commands print nothing on stdout
+# ---------------------------------------------------------------------------
+
+# "{pairs}", "{preds}", "{gts}", "{dets}", "{gt}" and "{outcomes}" are input files
+@pytest.mark.parametrize("argv, message", [
+    (["loss-compare", "--pairs", "{pairs}", "--kinds", "bogus"], "unknown loss kind 'bogus'"),
+    (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"], "epsilon must be > 0"),
+    (["eval", "--dets", "{dets}", "--gts", "{gt}", "--iou-thresh", "1.5"],
+     "iou_threshold must lie in (0, 1)"),
+    (["attn-demo", "--reduction", "-1"], "reduction_ratio must be >= 1, got -1"),
+    (["sweep", "--range", "0:10:10", "--fine-step", "5", "--outcomes", "{outcomes}"],
+     "outcomes.txt: no entry for level 5"),
+], ids=["loss-compare", "match", "eval", "attn-demo", "sweep"])
+def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, match_files,
+                                                  eval_files, argv, message):
+    outcomes = tmp_path / "outcomes.txt"
+    outcomes.write_text("0 fail\n10 clean\n")
+    files = {"pairs": pairs_file, "preds": match_files[0], "gts": match_files[1],
+             "dets": eval_files[0], "gt": eval_files[1], "outcomes": str(outcomes)}
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuse-check", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["fuse-check", "--trials", "-1"], "--trials must be >= 1, got -1"),
+    (["gradcheck", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["attn-demo", "--reduction", "0"], "reduction_ratio must be >= 1, got 0"),
+], ids=["fuse-check-0", "fuse-check-negative", "gradcheck-0", "attn-demo-reduction-0"])
+def test_counts_that_check_nothing_are_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -284,7 +284,7 @@ def test_evaluate_matches_brute_force_oracle():
                 b = rand_box(rng)
             dets.append(det(img, cls, b, float(rng.random())))
         rep = evaluate(dets, gts)
-        oracle_per_class, oracle_map = eval_brute(dets, gts)
+        oracle_per_class, oracle_map, _ = eval_brute(dets, gts)
         assert rep.map == float(oracle_map)
         for c in rep.per_class:
             want = oracle_per_class[c.class_id]
@@ -300,6 +300,30 @@ def test_evaluate_counts_property():
     rep = evaluate(dets, gts)
     counts = {c.class_id: ClassCounts(c.tp, c.fp, c.fn) for c in rep.per_class}
     assert counts == confusion_counts(dets, gts)
+
+
+# ---------------------------------------------------------------------------
+# boxes and records are validated tuples
+# ---------------------------------------------------------------------------
+
+def test_boxes_and_records_are_coerced_tuples():
+    assert tuple(AABox(1, 2, 3, 4)) == (1.0, 2.0, 3.0, 4.0)
+    assert tuple(det("a", "1", B1)) == ("a", 1, B1, 1.0)
+    assert det(7, 0, B1)._replace(confidence="0.5") == ("7", 0, B1, 0.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AABox(1, 1, 0, 1), "AABox needs w > 0 and h > 0, got w=0.0, h=1.0"),
+    (lambda: AABox(1, 1, 1, 1)._replace(w=0), "AABox needs w > 0 and h > 0, got w=0.0, h=1.0"),
+    (lambda: AABox._make([1, 1, 1, float("nan")]), "AABox.h must be finite, got nan"),
+    (lambda: AABox._make(["x", 1, 1, 1]), "AABox.cx must be a real number, got 'x'"),
+    (lambda: DetectionRecord("a", 0, B1, 1.5), "confidence must be in [0, 1], got 1.5"),
+    (lambda: det("a", 0, B1)._replace(confidence=-0.5), "confidence must be in [0, 1], got -0.5"),
+], ids=["new", "replace", "make", "make-text", "record-new", "record-replace"])
+def test_invalid_values_are_rejected_by_every_constructor(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

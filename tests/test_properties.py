@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detnum.boxes import AABox, iou, iou_matrix
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value
-from detnum.metrics import DetectionRecord, evaluate
+from detnum.metrics import DetectionRecord, confusion_counts, evaluate
+
+from helpers import eval_brute, frac_iou
 
 fixed = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
@@ -112,6 +114,32 @@ def test_evaluate_ignores_order_of_distinct_confidence_detections(scene, thresho
     rnd.shuffle(shuffled)
     assert (evaluate(shuffled, gts, threshold, method=method)
             == evaluate(dets, gts, threshold, method=method))
+
+
+@st.composite
+def multi_class_scenes(draw):
+    """Scenes whose records span at least two classes and two images."""
+    dets = _records(draw, draw(st.integers(1, 8)), confidence=True)
+    gts = _records(draw, draw(st.integers(1, 8)), confidence=False)
+    records = dets + gts
+    assume(len({r.class_id for r in records}) >= 2 and len({r.image_id for r in records}) >= 2)
+    return dets, gts
+
+
+@fixed
+@given(multi_class_scenes(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+def test_one_matching_pass_equals_per_class_brute_force(scene, threshold):
+    dets, gts = scene
+    # the oracle's IoU is exact, the library's is float: skip draws a
+    # rounding could put on the other side of the threshold
+    assume(all(abs(float(frac_iou(d.box, g.box)) - threshold) > 1e-9
+               for d in dets for g in gts))
+    want_ap, want_map, want_counts = eval_brute(dets, gts, threshold)
+    assert confusion_counts(dets, gts, threshold) == want_counts
+    rep = evaluate(dets, gts, threshold)
+    assert {c.class_id: c.ap for c in rep.per_class} == \
+        {k: None if v is None else float(v) for k, v in want_ap.items()}
+    assert rep.map == float(want_map)
 
 
 def test_evaluate_iou_tie_goes_to_earlier_ground_truth():

@@ -365,7 +365,7 @@ def test_sweep_csv_and_bands_json():
 # ---------------------------------------------------------------------------
 
 def test_pgm_roundtrip_exact_on_quantized(tmp_path):
-    img = synthetic_gray(11, 9, 13)
+    img = GrayImage(np.random.default_rng(11).uniform(60.0, 196.0, size=(9, 13)))
     path = tmp_path / "img.pgm"
     write_pgm(img, path)
     back = read_pgm(path)

@@ -6,7 +6,6 @@ from detnum.transport import (
     BIG,
     Assignment,
     InfeasibleMongeError,
-    MatchConfig,
     OTProblem,
     build_cost_matrix,
     exact_injection,
@@ -301,7 +300,6 @@ def test_round_plan_tie_breaks_row_major():
 def test_round_plan_rectangular_and_limit():
     plan = np.array([[0.5, 0.0, 0.0], [0.0, 0.4, 0.1]])
     assert round_plan(plan) == [(0, 0), (1, 1)]
-    assert round_plan(plan, limit=1) == [(0, 0)]
 
 
 def test_rounded_sinkhorn_recovers_exact_monge():
@@ -354,10 +352,10 @@ def test_match_gt_label_permutation_invariance():
     rng = np.random.default_rng(101)
     preds = [rand_box(rng) for _ in range(4)]
     gts = [AABox(p.cx + 0.1, p.cy - 0.1, p.w, p.h) for p in preds]
-    base = match(preds, gts, MatchConfig(anneal=True))
+    base = match(preds, gts)
     perm = [2, 0, 3, 1]
     shuffled = [gts[j] for j in perm]
-    res = match(preds, shuffled, MatchConfig(anneal=True))
+    res = match(preds, shuffled)
     # pairs must point at the same boxes through the permuted labels
     remap = {j: perm.index(j) for j in range(4)}
     assert sorted((i, remap[j]) for i, j in base.assignment.pairs) == \
@@ -368,7 +366,7 @@ def test_match_breakdowns_parallel_to_pairs():
     rng = np.random.default_rng(103)
     preds = [rand_box(rng) for _ in range(3)]
     gts = [rand_box(rng) for _ in range(3)]
-    res = match(preds, gts, MatchConfig(anneal=True))
+    res = match(preds, gts)
     assert len(res.breakdowns) == len(res.assignment.pairs)
     for (i, j), bd in zip(res.assignment.pairs, res.breakdowns):
         expected = 1.0 - iou(preds[i], gts[j])
