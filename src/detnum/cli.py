@@ -435,6 +435,8 @@ def _fd_gradient(kind: str, p: AABox, g: AABox, theta: float, h: float):
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"--step must be > 0 and finite, got {args.step}")
     rng = np.random.default_rng(args.seed)
     kinds = _split_kinds(args.kinds)
     _config(command="gradcheck", kinds=kinds, trials=args.trials,

@@ -8,12 +8,12 @@ gts, the one listed first), otherwise it counts as a false positive —
 duplicates on an already-matched gt are false positives.
 
 AP integrates the precision envelope over recall (all-points
-interpolation); the legacy 11-point variant sits behind a flag. The
-cumulative precision/recall points are ratios of small integers, so the
-envelope integration runs on exact fractions and converts to float only at
-the boundary — per-scenario results are reproducible to the last bit.
-`evaluate` integrates over the true-positive ranks only: false positives
-add no recall and cannot raise the envelope.
+interpolation); the legacy 11-point variant sits behind a flag. Both are
+computed from a class's true-positive ranks alone: the i-th true positive
+sits at recall i/n_gt and precision i/rank, and false positives add no
+recall and cannot raise the envelope. These are ratios of small integers,
+so the envelope runs on exact fractions and converts to float only at the
+boundary — per-scenario results are reproducible to the last bit.
 
 Record files are line-delimited: `image_id class_id cx cy w h [confidence]`
 (confidence defaults to 1.0, as for ground truths) and parse into validated
@@ -32,7 +32,7 @@ from .boxes import AABox, iou as _box_iou
 
 __all__ = [
     "DetectionRecord", "ClassCounts", "PrecisionRecall", "ClassEval", "EvalReport",
-    "confusion_counts", "precision_recall", "average_precision", "mean_ap",
+    "confusion_counts", "precision_recall", "mean_ap",
     "evaluate", "parse_records", "parse_record_file",
     "report_to_csv", "report_to_json",
 ]
@@ -123,46 +123,18 @@ def precision_recall(tp: int, fp: int, fn: int) -> PrecisionRecall:
     )
 
 
-def _ap_exact(points, method: str) -> Fraction:
-    """Exact-rational AP over (recall, precision) points in rank order."""
-    if method not in ("all_points", "11point"):
-        raise ValueError(f"unknown AP method {method!r}; expected all_points or 11point")
-    if not points:
-        return Fraction(0)
-    # precision envelope from the right
-    envelope = [Fraction(0)] * len(points)
-    running = Fraction(0)
-    for i in range(len(points) - 1, -1, -1):
-        p = Fraction(points[i][1])
-        running = p if p > running else running
-        envelope[i] = running
+def _ap_exact(tp_ranks: Sequence[int], n_gt: int, method: str) -> Fraction:
+    """Exact-rational AP of one class from the 1-based confidence ranks of
+    its true positives: the i-th sits at recall i/n_gt, precision i/rank."""
+    envelope = [Fraction(i, k) for i, k in enumerate(tp_ranks, start=1)]
+    for i in range(len(envelope) - 2, -1, -1):
+        envelope[i] = max(envelope[i], envelope[i + 1])
     if method == "11point":
-        total = Fraction(0)
-        for k in range(11):
-            thresh = Fraction(k, 10)
-            best = max((envelope[i] for i in range(len(points))
-                        if Fraction(points[i][0]) >= thresh), default=Fraction(0))
-            total += best
-        return total / 11
-    total = Fraction(0)
-    prev_r = Fraction(0)
-    for i, (r, _) in enumerate(points):
-        r = Fraction(r)
-        total += (r - prev_r) * envelope[i]
-        prev_r = r
-    return total
-
-
-def average_precision(pr_curve, method: str = "all_points") -> float:
-    """Integrate a (recall, precision) curve.
-
-    pr_curve: points in recall-ascending (rank) order, as produced by the
-    confidence sweep; values may be floats or exact fractions — arithmetic
-    runs on exact rationals either way. all_points integrates the precision
-    envelope; 11point averages the envelope at recalls 0, 0.1, ..., 1.
-    Empty curve → 0.0.
-    """
-    return float(_ap_exact(list(pr_curve), method))
+        # recall k/10 is first reached by true positive ceil(k·n_gt/10)
+        firsts = (max(1, -(-k * n_gt // 10)) for k in range(11))
+        return sum((envelope[i - 1] for i in firsts if i <= len(envelope)), Fraction(0)) / 11
+    # every true positive adds recall 1/n_gt
+    return sum(envelope, Fraction(0)) / n_gt
 
 
 def mean_ap(per_class_ap) -> float:
@@ -203,6 +175,8 @@ def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
     ap = None.
     """
     t = _check_threshold(iou_threshold)
+    if method not in ("all_points", "11point"):
+        raise ValueError(f"unknown AP method {method!r}; expected all_points or 11point")
     rows = []
     ap_values = []
     for cls, (flags, n_gt) in _match_flags(dets, gts, t).items():
@@ -211,10 +185,8 @@ def evaluate(dets: Sequence[DetectionRecord], gts: Sequence[DetectionRecord],
         fn = n_gt - tp
         pr = precision_recall(tp, fp, fn)
         if n_gt > 0:
-            # recall steps only; see the module docstring
             tp_ranks = [k for k, flag in enumerate(flags, start=1) if flag]
-            ap_frac = _ap_exact([(Fraction(i, n_gt), Fraction(i, k))
-                                 for i, k in enumerate(tp_ranks, start=1)], method)
+            ap_frac = _ap_exact(tp_ranks, n_gt, method)
             ap = float(ap_frac)
             ap_values.append(ap_frac)
         else:

@@ -14,8 +14,8 @@ unequal cardinalities the Monge map does not exist and the same ratio = 1
 convention is applied. Both routes are implemented so the collapse itself
 is verifiable.
 
-Extended-real (+inf) costs are represented by the sentinel BIG = 1e6;
-solvers assert that no optimal plan places mass on sentinel entries.
+Costs must be finite: `build_cost_matrix` only produces 1 − IoU in [0, 1]
+or finite siou values, so no solver handles forbidden (+inf) entries.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from .boxes import AABox, iou as _box_iou, iou_matrix
 from .losses import DEFAULT_THETA, LossBreakdown, baseline_loss, mks_loss
 
 __all__ = [
-    "BIG", "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL",
+    "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL",
     "OTProblem", "TransportPlan", "Assignment", "MatchConfig", "MatchResult",
     "InfeasibleMongeError", "uniform_marginals", "build_cost_matrix",
     "sinkhorn", "exact_kp", "exact_mp", "exact_injection", "negative_iou",
     "round_plan", "match",
 ]
-
-BIG = 1e6  # sentinel standing in for +inf cost entries
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITERS = 1000
@@ -67,9 +65,8 @@ class OTProblem:
         cost = np.asarray(self.cost, dtype=float)
         if cost.ndim != 2 or cost.size == 0:
             raise ValueError(f"cost must be a nonempty 2-d matrix, got shape {cost.shape}")
-        if np.isnan(cost).any() or np.isneginf(cost).any():
-            raise ValueError("cost entries must be real or +inf")
-        cost = np.where(np.isposinf(cost), BIG, cost)
+        if not np.isfinite(cost).all():
+            raise ValueError("cost entries must be finite")
         mu = np.asarray(self.mu, dtype=float)
         nu = np.asarray(self.nu, dtype=float)
         if mu.shape != (cost.shape[0],) or nu.shape != (cost.shape[1],):
@@ -164,10 +161,11 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
              *, anneal: bool = False) -> TransportPlan:
     """Entropic-regularized plan by log-domain Sinkhorn-Knopp scaling.
 
-    Costs are rescaled by their largest finite entry before exponentiation
-    so epsilon always acts on a [0, 1]-scale matrix. Stops when the worst
-    row/column marginal deviation drops below tol or after max_iters;
-    non-convergence is reported through the converged flag, not raised.
+    Costs are rescaled by their largest absolute entry before
+    exponentiation so epsilon always acts on a [0, 1]-scale matrix. Stops
+    when the worst row/column marginal deviation drops below tol or after
+    max_iters; non-convergence is reported through the converged flag, not
+    raised.
 
     anneal=True warm-starts the potentials through a decreasing epsilon
     schedule (0.3 → epsilon, factor 3, 25 sweeps each) before iterating at
@@ -176,16 +174,15 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     make the plan nearly a permutation. max_iters then bounds the final
     stage; reported iterations count every sweep including warm-up.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     cost = problem.cost
-    finite = cost < BIG
-    scale = float(np.abs(cost[finite]).max()) if finite.any() else 1.0
-    if scale <= 0.0:
-        scale = 1.0
-    norm_cost = np.where(finite, cost / scale, BIG)
+    scale = float(np.abs(cost).max()) or 1.0
+    norm_cost = cost / scale
 
     stages = [epsilon]
     if anneal:
@@ -226,7 +223,6 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
             # keep the dual potentials eps_k * u fixed across the switch
             u *= eps_k / stages[si + 1]
             v *= eps_k / stages[si + 1]
-    _assert_no_sentinel_mass(plan, finite)
     objective = float((plan * cost).sum())
     return TransportPlan(plan, objective, violation, converged, iterations)
 
@@ -235,15 +231,6 @@ def _marginal_violation(plan: np.ndarray, problem: OTProblem) -> float:
     """Worst row or column deviation of plan from the problem's marginals."""
     return max(float(np.abs(plan.sum(axis=1) - problem.mu).max()),
                float(np.abs(plan.sum(axis=0) - problem.nu).max()))
-
-
-def _assert_no_sentinel_mass(plan: np.ndarray, finite: np.ndarray) -> None:
-    forbidden = float(plan[~finite].sum()) if not finite.all() else 0.0
-    # written as a negated <= so a NaN plan (fully forbidden row/column,
-    # i.e. an infeasible problem) also lands here instead of leaking out
-    if not forbidden <= 1e-9:
-        raise RuntimeError(
-            f"optimal plan places mass {forbidden:g} on sentinel (forbidden) cost entries")
 
 
 def exact_kp(problem: OTProblem) -> TransportPlan:
@@ -262,7 +249,6 @@ def exact_kp(problem: OTProblem) -> TransportPlan:
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = np.maximum(res.x.reshape(n, m), 0.0)
-    _assert_no_sentinel_mass(plan, problem.cost < BIG)
     objective = float((plan * problem.cost).sum())
     return TransportPlan(plan, objective, _marginal_violation(plan, problem),
                          True, int(res.nit))
@@ -310,10 +296,7 @@ def exact_mp(problem: OTProblem, method: str = "auto") -> Assignment:
     else:
         raise ValueError(f"unknown method {method!r}; expected auto|brute|hungarian")
     pairs = tuple((i, int(perm[i])) for i in range(n))
-    selected = problem.cost[np.arange(n), perm]
-    if (selected >= BIG).any():
-        raise RuntimeError("optimal Monge map crosses a sentinel (forbidden) cost entry")
-    return Assignment(pairs, (), float(selected.sum()) / n)
+    return Assignment(pairs, (), float(problem.cost[np.arange(n), perm].sum()) / n)
 
 
 def exact_injection(problem: OTProblem) -> tuple[float, float]:

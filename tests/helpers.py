@@ -219,9 +219,11 @@ def parallel_attention(x, cp, sp):
 # detection metrics
 # ---------------------------------------------------------------------------
 
-def eval_brute(dets, gts, iou_threshold=0.5):
+def eval_brute(dets, gts, iou_threshold=0.5, method="all_points"):
     """Independent evaluator: per class, rank by confidence, greedily match,
-    compute AP as an exact Fraction by direct envelope integration.
+    compute AP as an exact Fraction over every ranked point: all_points by
+    direct envelope integration, 11point as the mean over k = 0..10 of the
+    best precision at recall >= k/10.
 
     Returns (per_class_ap: dict[class_id, Fraction | None], map: Fraction,
     counts: dict[class_id, (tp, fp, fn)]).
@@ -263,11 +265,16 @@ def eval_brute(dets, gts, iou_threshold=0.5):
             recalls.append(Fraction(tp, n_gt))
             precisions.append(Fraction(tp, k))
         ap = Fraction(0)
-        prev_r = Fraction(0)
-        for k in range(len(flags)):
-            env = max(precisions[k:]) if precisions[k:] else Fraction(0)
-            ap += (recalls[k] - prev_r) * env
-            prev_r = recalls[k]
+        if method == "11point":
+            for k in range(11):
+                ap += max((p for r, p in zip(recalls, precisions) if r >= Fraction(k, 10)),
+                          default=Fraction(0))
+            ap /= 11
+        else:
+            prev_r = Fraction(0)
+            for k in range(len(flags)):
+                ap += (recalls[k] - prev_r) * max(precisions[k:])
+                prev_r = recalls[k]
         per_class[cls] = ap
         ap_list.append(ap)
     map_frac = sum(ap_list) / len(ap_list) if ap_list else Fraction(0)

@@ -405,12 +405,18 @@ def test_every_command_is_rerun_stable(capsys, tmp_path, pairs_file,
 @pytest.mark.parametrize("argv, message", [
     (["loss-compare", "--pairs", "{pairs}", "--kinds", "bogus"], "unknown loss kind 'bogus'"),
     (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"], "epsilon must be > 0"),
+    (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "nan"],
+     "epsilon must be > 0 and finite, got nan"),
     (["eval", "--dets", "{dets}", "--gts", "{gt}", "--iou-thresh", "1.5"],
      "iou_threshold must lie in (0, 1)"),
     (["attn-demo", "--reduction", "-1"], "reduction_ratio must be >= 1, got -1"),
     (["sweep", "--range", "0:10:10", "--fine-step", "5", "--outcomes", "{outcomes}"],
      "outcomes.txt: no entry for level 5"),
-], ids=["loss-compare", "match", "eval", "attn-demo", "sweep"])
+    (["gradcheck", "--trials", "2", "--step", "0"], "--step must be > 0 and finite, got 0.0"),
+    (["gradcheck", "--trials", "2", "--step", "nan"], "--step must be > 0 and finite, got nan"),
+    (["gradcheck", "--trials", "2", "--step=-1e-5"], "--step must be > 0 and finite, got -1e-05"),
+], ids=["loss-compare", "match", "match-epsilon-nan", "eval", "attn-demo", "sweep",
+        "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative"])
 def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, match_files,
                                                   eval_files, argv, message):
     outcomes = tmp_path / "outcomes.txt"

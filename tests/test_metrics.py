@@ -8,7 +8,6 @@ from detnum.boxes import AABox
 from detnum.metrics import (
     ClassCounts,
     DetectionRecord,
-    average_precision,
     confusion_counts,
     evaluate,
     mean_ap,
@@ -151,42 +150,6 @@ def test_precision_recall_rejects_negative_counts():
 # average precision
 # ---------------------------------------------------------------------------
 
-def test_ap_two_true_positives_cover_everything():
-    # ranked [TP, TP] over 2 gts: precision 1 at recall 1
-    curve = [(Fraction(1, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(1, 1))]
-    assert average_precision(curve) == 1.0
-
-
-def test_ap_tp_fp_tp_is_five_sixths():
-    # ranked [TP, FP, TP] over 2 gts:
-    # recall 1/2 at precision 1, recall 1 at precision 2/3
-    curve = [(Fraction(1, 2), Fraction(1, 1)),
-             (Fraction(1, 2), Fraction(1, 2)),
-             (Fraction(1, 1), Fraction(2, 3))]
-    assert average_precision(curve) == float(Fraction(5, 6))
-
-
-def test_ap_empty_curve_and_unknown_method():
-    assert average_precision([]) == 0.0
-    with pytest.raises(ValueError):
-        average_precision([(0.5, 1.0)], method="area")
-
-
-def test_ap_11point_on_flat_curve():
-    curve = [(Fraction(1, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(1, 1))]
-    assert average_precision(curve, method="11point") == 1.0
-
-
-def test_ap_11point_differs_from_all_points_generally():
-    curve = [(Fraction(1, 2), Fraction(1, 1)),
-             (Fraction(1, 2), Fraction(1, 2)),
-             (Fraction(1, 1), Fraction(2, 3))]
-    v11 = average_precision(curve, method="11point")
-    # envelope at recalls 0..0.5 is 1, above 0.5 is 2/3:
-    # (6*1 + 5*(2/3)) / 11
-    assert v11 == float(Fraction(6 * 3 + 5 * 2, 33))
-
-
 def test_mean_ap_examples():
     assert mean_ap([1.0, 0.5]) == 0.75
     assert mean_ap([]) == 0.0
@@ -209,6 +172,34 @@ def test_evaluate_five_sixths_fixture():
     assert (cls.tp, cls.fp, cls.fn) == (2, 1, 0)
     assert cls.ap == float(Fraction(5, 6))
     assert rep.map == float(Fraction(5, 6))
+
+
+# ranked [TP, FP, TP] over 2 gts: recall 1/2 at precision 1, recall 1 at
+# precision 2/3; the 11-point envelope is 1 at recalls 0..0.5 and 2/3 above
+@pytest.mark.parametrize("flags, method, want", [
+    ("TT", "all_points", Fraction(1)),
+    ("TT", "11point", Fraction(1)),
+    ("TFT", "all_points", Fraction(5, 6)),
+    ("TFT", "11point", Fraction(6 * 3 + 5 * 2, 33)),
+    ("FF", "all_points", Fraction(0)),
+    ("FF", "11point", Fraction(0)),
+    ("FT", "all_points", Fraction(1, 4)),
+    ("FT", "11point", Fraction(6, 11) * Fraction(1, 2)),   # recall 1/2 is the last reached
+], ids=["tp-tp", "tp-tp-11point", "tp-fp-tp", "tp-fp-tp-11point",
+        "fp-fp", "fp-fp-11point", "fp-tp", "fp-tp-11point"])
+def test_evaluate_ap_of_ranked_flags(flags, method, want):
+    gts = [det("a", 0, B1), det("a", 0, B2)]
+    unmatched = iter([B1, B2])
+    dets = [det("a", 0, next(unmatched) if f == "T" else B3, 0.9 - 0.1 * k)
+            for k, f in enumerate(flags)]
+    rep = evaluate(dets, gts, method=method)
+    assert rep.per_class[0].ap == float(want)
+    assert rep.map == float(want)
+
+
+def test_evaluate_rejects_unknown_method_without_ground_truths():
+    with pytest.raises(ValueError, match="unknown AP method 'area'"):
+        evaluate([det("a", 0, B1, 0.9)], [], method="area")
 
 
 def test_evaluate_perfect_scenario_is_exactly_one():

@@ -127,16 +127,17 @@ def multi_class_scenes(draw):
 
 
 @fixed
-@given(multi_class_scenes(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
-def test_one_matching_pass_equals_per_class_brute_force(scene, threshold):
+@given(multi_class_scenes(), st.sampled_from([0.1, 0.3, 0.5, 0.7]),
+       st.sampled_from(["all_points", "11point"]))
+def test_one_matching_pass_equals_per_class_brute_force(scene, threshold, method):
     dets, gts = scene
     # the oracle's IoU is exact, the library's is float: skip draws a
     # rounding could put on the other side of the threshold
     assume(all(abs(float(frac_iou(d.box, g.box)) - threshold) > 1e-9
                for d in dets for g in gts))
-    want_ap, want_map, want_counts = eval_brute(dets, gts, threshold)
+    want_ap, want_map, want_counts = eval_brute(dets, gts, threshold, method)
     assert confusion_counts(dets, gts, threshold) == want_counts
-    rep = evaluate(dets, gts, threshold)
+    rep = evaluate(dets, gts, threshold, method=method)
     assert {c.class_id: c.ap for c in rep.per_class} == \
         {k: None if v is None else float(v) for k, v in want_ap.items()}
     assert rep.map == float(want_map)
