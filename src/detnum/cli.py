@@ -106,6 +106,12 @@ def _random_boxes(rng: np.random.Generator, n: int) -> list[AABox]:
             for _ in range(n)]
 
 
+def _positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be > 0 and finite, got {value}")
+    return value
+
+
 def _split_kinds(text: str) -> list[str]:
     kinds = [k.strip() for k in text.split(",") if k.strip()]
     if not kinds:
@@ -318,7 +324,7 @@ def cmd_sweep(args) -> int:
     else:
         img = robustness.synthetic_gray(args.seed)
     lo, hi, step = _parse_range(args.range)
-    fine = args.fine_step if args.fine_step is not None else step / 10.0
+    fine = _positive("--fine-step", args.fine_step) if args.fine_step is not None else step / 10.0
     cfg = robustness.SweepConfig(
         mode=args.mode, lo=lo, hi=hi, coarse_step=step, fine_step=fine,
         noise_axis=args.noise_axis, seed=args.seed)
@@ -375,6 +381,7 @@ def cmd_sweep(args) -> int:
 def cmd_fuse_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _positive("--tol", args.tol)
     rng = np.random.default_rng(args.seed)
     _config(command="fuse-check", trials=args.trials, tol=args.tol,
             block=args.block, seed=args.seed)
@@ -435,8 +442,8 @@ def _fd_gradient(kind: str, p: AABox, g: AABox, theta: float, h: float):
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise ValueError(f"--step must be > 0 and finite, got {args.step}")
+    _positive("--step", args.step)
+    _positive("--tol", args.tol)
     rng = np.random.default_rng(args.seed)
     kinds = _split_kinds(args.kinds)
     _config(command="gradcheck", kinds=kinds, trials=args.trials,

@@ -16,8 +16,8 @@ is why ϵ = 0 is allowed as long as σ² + ϵ stays positive per channel.
 The fusion block is a unit-scale stand-in for CSP-style stages: split the
 channels in half, run each half through its own conv+BN, concatenate, and
 merge with a 1x1 conv. fold_fusion_block replaces every conv+BN pair with
-its folded conv and an identity BN, so the same forward code exercises
-both the unfolded and the reparameterized paths.
+its folded conv and leaves the BN slot empty (None); fusion_block applies a
+branch BN only where one is present, so a folded block runs no batchnorm.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class BNParams:
     @property
     def channels(self) -> int:
         return self.mu.shape[0]
-
-    @classmethod
-    def identity(cls, channels: int) -> "BNParams":
-        # eps = 0 keeps the scale factor γ/sqrt(σ²+ϵ) at exactly 1.0
-        return cls(mu=np.zeros(channels), var=np.ones(channels),
-                   gamma=np.ones(channels), beta=np.zeros(channels), eps=0.0)
 
     @classmethod
     def random(cls, channels: int, *, rng: np.random.Generator,
@@ -137,24 +131,19 @@ class FusionBlockParams:
     """Two conv+BN branches over a channel split, merged by a 1x1 conv."""
 
     conv_a: Conv2DParams
-    bn_a: BNParams
+    bn_a: BNParams | None
     conv_b: Conv2DParams
-    bn_b: BNParams
+    bn_b: BNParams | None
     merge: Conv2DParams
 
     def __post_init__(self):
-        if self.bn_a.channels != self.conv_a.out_channels:
-            raise ValueError("branch A BN channels must match its conv output")
-        if self.bn_b.channels != self.conv_b.out_channels:
-            raise ValueError("branch B BN channels must match its conv output")
+        for name, conv, bn in (("A", self.conv_a, self.bn_a), ("B", self.conv_b, self.bn_b)):
+            if bn is not None and bn.channels != conv.out_channels:
+                raise ValueError(f"branch {name} BN channels must match its conv output")
         if self.merge.in_channels != self.conv_a.out_channels + self.conv_b.out_channels:
             raise ValueError("merge conv input must equal the concatenated branch outputs")
         if self.merge.kernel != (1, 1) or self.merge.stride != (1, 1) or self.merge.padding != (0, 0):
             raise ValueError("merge conv must be 1x1, stride 1, padding 0")
-
-    @property
-    def in_channels(self) -> int:
-        return self.conv_a.in_channels + self.conv_b.in_channels
 
     @classmethod
     def random(cls, channels: int, *, rng: np.random.Generator) -> "FusionBlockParams":
@@ -179,16 +168,21 @@ class FusionBlockParams:
                    branch_conv(), BNParams.random(half, rng=rng), merge)
 
 
+def _branch(x: FeatureTensor, conv: Conv2DParams, bn: BNParams | None) -> FeatureTensor:
+    y = conv2d(x, conv)
+    return y if bn is None else batchnorm(y, bn)
+
+
 def fusion_block(x: FeatureTensor, params: FusionBlockParams) -> FeatureTensor:
-    """split → per-branch conv+BN → concat → 1x1 merge."""
+    """split → per-branch conv (+BN where the slot holds one) → concat → 1x1 merge."""
     c = x.shape[1]
     if c % 2:
         raise ValueError(f"fusion block needs an even channel count, got {c}")
     ca, cb = params.conv_a.in_channels, params.conv_b.in_channels
     if ca + cb != c:
         raise ValueError(f"params expect {ca + cb} input channels, tensor has {c}")
-    ya = batchnorm(conv2d(FeatureTensor(x.data[:, :ca]), params.conv_a), params.bn_a)
-    yb = batchnorm(conv2d(FeatureTensor(x.data[:, ca:]), params.conv_b), params.bn_b)
+    ya = _branch(FeatureTensor(x.data[:, :ca]), params.conv_a, params.bn_a)
+    yb = _branch(FeatureTensor(x.data[:, ca:]), params.conv_b, params.bn_b)
     if ya.shape[2:] != yb.shape[2:]:
         raise ValueError(
             f"branch outputs disagree spatially: {ya.shape[2:]} vs {yb.shape[2:]}")
@@ -197,11 +191,8 @@ def fusion_block(x: FeatureTensor, params: FusionBlockParams) -> FeatureTensor:
 
 
 def fold_fusion_block(params: FusionBlockParams) -> FusionBlockParams:
-    """Fold each branch's BN into its conv; the BN slots become identities."""
-    return replace(
-        params,
-        conv_a=fold_bn(params.conv_a, params.bn_a),
-        bn_a=BNParams.identity(params.conv_a.out_channels),
-        conv_b=fold_bn(params.conv_b, params.bn_b),
-        bn_b=BNParams.identity(params.conv_b.out_channels),
-    )
+    """Fold each branch's BN into its conv and empty the BN slots; a block
+    that is already folded comes back unchanged."""
+    conv_a, conv_b = (conv if bn is None else fold_bn(conv, bn) for conv, bn in
+                      ((params.conv_a, params.bn_a), (params.conv_b, params.bn_b)))
+    return replace(params, conv_a=conv_a, bn_a=None, conv_b=conv_b, bn_b=None)

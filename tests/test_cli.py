@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detnum
 from detnum.cli import main
 from detnum.tensor import read_blob, write_blob
 
@@ -397,6 +402,27 @@ def test_every_command_is_rerun_stable(capsys, tmp_path, pairs_file,
         assert files1 == files2, argv[0]
 
 
+def test_output_does_not_depend_on_blas_thread_count(tmp_path):
+    # fresh interpreters, because BLAS reads its thread count when NumPy loads
+    src = str(Path(detnum.__file__).resolve().parents[1])
+
+    def run_with_threads(threads, *argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "detnum", *argv], env=env,
+                              capture_output=True, check=True)
+        return proc.stdout
+
+    blobs = {}
+    for threads in (1, 2):
+        out_dir = tmp_path / f"threads-{threads}"
+        out_dir.mkdir()
+        attn = run_with_threads(threads, "attn-demo", "--out", str(out_dir / "attn.ntb"))
+        block = run_with_threads(threads, "fuse-check", "--block", "--trials", "5")
+        blobs[threads] = (attn, block, (out_dir / "attn.ntb").read_bytes())
+    assert blobs[1] == blobs[2]
+
+
 # ---------------------------------------------------------------------------
 # failing commands print nothing on stdout
 # ---------------------------------------------------------------------------
@@ -415,8 +441,15 @@ def test_every_command_is_rerun_stable(capsys, tmp_path, pairs_file,
     (["gradcheck", "--trials", "2", "--step", "0"], "--step must be > 0 and finite, got 0.0"),
     (["gradcheck", "--trials", "2", "--step", "nan"], "--step must be > 0 and finite, got nan"),
     (["gradcheck", "--trials", "2", "--step=-1e-5"], "--step must be > 0 and finite, got -1e-05"),
+    (["gradcheck", "--trials", "2", "--tol", "nan"], "--tol must be > 0 and finite, got nan"),
+    (["fuse-check", "--trials", "2", "--tol", "nan"], "--tol must be > 0 and finite, got nan"),
+    (["fuse-check", "--trials", "2", "--tol", "-1"], "--tol must be > 0 and finite, got -1.0"),
+    (["sweep", "--range", "0:10:5", "--fine-step", "nan", "--profile", "1:2:8"],
+     "--fine-step must be > 0 and finite, got nan"),
 ], ids=["loss-compare", "match", "match-epsilon-nan", "eval", "attn-demo", "sweep",
-        "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative"])
+        "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative",
+        "gradcheck-tol-nan", "fuse-check-tol-nan", "fuse-check-tol-negative",
+        "sweep-fine-step-nan"])
 def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, match_files,
                                                   eval_files, argv, message):
     outcomes = tmp_path / "outcomes.txt"

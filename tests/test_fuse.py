@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from detnum import fuse
 from detnum.fuse import (
     BNParams,
     FusionBlockParams,
@@ -19,6 +20,12 @@ def rand_ft(rng, shape, scale=1.0):
     return FeatureTensor.random(shape, rng, scale=scale)
 
 
+def identity_bn(channels):
+    # eps = 0 keeps the scale factor γ/sqrt(σ²+ϵ) at exactly 1.0
+    return BNParams(mu=np.zeros(channels), var=np.ones(channels),
+                    gamma=np.ones(channels), beta=np.zeros(channels), eps=0.0)
+
+
 # ---------------------------------------------------------------------------
 # batchnorm
 # ---------------------------------------------------------------------------
@@ -26,7 +33,7 @@ def rand_ft(rng, shape, scale=1.0):
 def test_batchnorm_identity_params_change_nothing():
     rng = np.random.default_rng(263)
     x = rand_ft(rng, (2, 3, 4, 4))
-    assert np.array_equal(batchnorm(x, BNParams.identity(3)).data, x.data)
+    assert np.array_equal(batchnorm(x, identity_bn(3)).data, x.data)
 
 
 def test_batchnorm_at_running_mean_returns_beta():
@@ -73,7 +80,7 @@ def test_batchnorm_validation():
         BNParams(mu=[0.0], var=[0.0], gamma=[1.0], beta=[0.0], eps=0.0)
     rng = np.random.default_rng(277)
     with pytest.raises(ValueError):
-        batchnorm(rand_ft(rng, (1, 2, 3, 3)), BNParams.identity(3))
+        batchnorm(rand_ft(rng, (1, 2, 3, 3)), identity_bn(3))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +90,7 @@ def test_batchnorm_validation():
 def test_fold_identity_bn_is_bit_exact():
     rng = np.random.default_rng(281)
     conv = random_conv_params(3, 5, rng=rng, kernel=3, padding=1)
-    fused = fold_bn(conv, BNParams.identity(5))
+    fused = fold_bn(conv, identity_bn(5))
     assert np.array_equal(fused.weights, conv.weights)
     assert np.array_equal(fused.bias, conv.bias)
     x = rand_ft(rng, (2, 3, 6, 6))
@@ -126,7 +133,7 @@ def test_fold_bn_channel_mismatch_rejected():
     rng = np.random.default_rng(293)
     conv = random_conv_params(2, 3, rng=rng)
     with pytest.raises(ValueError):
-        fold_bn(conv, BNParams.identity(4))
+        fold_bn(conv, identity_bn(4))
 
 
 def test_fold_bn_preserves_geometry():
@@ -149,8 +156,8 @@ def test_fusion_block_identity_branches_reduce_to_merge_conv():
     half = 2
     ident = Conv2DParams(np.eye(half).reshape(half, half, 1, 1), np.zeros(half))
     merge = random_conv_params(2 * half, 3, rng=rng, kernel=1)
-    params = FusionBlockParams(ident, BNParams.identity(half),
-                               ident, BNParams.identity(half), merge)
+    params = FusionBlockParams(ident, identity_bn(half),
+                               ident, identity_bn(half), merge)
     x = rand_ft(rng, (2, 2 * half, 5, 5))
     assert np.array_equal(fusion_block(x, params).data, conv2d(x, merge).data)
 
@@ -181,19 +188,35 @@ def test_fusion_block_merge_conv_shape_enforced():
     ident = Conv2DParams(np.eye(half).reshape(half, half, 1, 1), np.zeros(half))
     bad_merge = random_conv_params(2 * half, 3, rng=rng, kernel=3, padding=1)
     with pytest.raises(ValueError):
-        FusionBlockParams(ident, BNParams.identity(half),
-                          ident, BNParams.identity(half), bad_merge)
+        FusionBlockParams(ident, identity_bn(half),
+                          ident, identity_bn(half), bad_merge)
 
 
 def test_fold_fusion_block_structure():
     rng = np.random.default_rng(337)
     params = FusionBlockParams.random(6, rng=rng)
     folded = fold_fusion_block(params)
-    # BN slots become exact identities; merge is untouched
-    assert folded.bn_a.eps == 0.0
-    assert np.all(folded.bn_a.gamma == 1.0)
-    assert np.all(folded.bn_b.beta == 0.0)
+    # BN slots are emptied, so a folded block runs no batchnorm; merge is untouched
+    assert folded.bn_a is None and folded.bn_b is None
     assert folded.merge is params.merge
+    # an empty slot gives the same bytes as the identity BN it replaces
+    half = params.conv_a.out_channels
+    with_identity = FusionBlockParams(folded.conv_a, identity_bn(half),
+                                      folded.conv_b, identity_bn(half), folded.merge)
+    x = rand_ft(rng, (2, 6, 5, 5))
+    assert np.array_equal(fusion_block(x, folded).data, fusion_block(x, with_identity).data)
+
+
+def test_folded_fusion_block_runs_no_batchnorm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fuse, "batchnorm", lambda x, p: calls.append(p) or batchnorm(x, p))
+    rng = np.random.default_rng(353)
+    params = FusionBlockParams.random(4, rng=rng)
+    x = rand_ft(rng, (1, 4, 5, 5))
+    fusion_block(x, fold_fusion_block(params))
+    assert calls == []
+    fusion_block(x, params)
+    assert calls == [params.bn_a, params.bn_b]
 
 
 def test_fold_fusion_block_forward_equivalence():
@@ -213,7 +236,7 @@ def test_fold_fusion_block_is_idempotent():
     params = FusionBlockParams.random(4, rng=rng)
     once = fold_fusion_block(params)
     twice = fold_fusion_block(once)
-    # folding an identity BN changes nothing, bit for bit
+    # a folded block has no BN left to fold, so nothing changes, bit for bit
     assert np.array_equal(twice.conv_a.weights, once.conv_a.weights)
     assert np.array_equal(twice.conv_a.bias, once.conv_a.bias)
     assert np.array_equal(twice.conv_b.weights, once.conv_b.weights)

@@ -117,6 +117,28 @@ def test_conv_matches_loop_oracle_over_grid():
                 assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding", [
+    ((1, 3, 7, 8), (4, 3, 3, 1), (1, 1), (1, 0)),
+    ((1, 3, 7, 8), (4, 3, 1, 5), (1, 1), (0, 2)),
+    ((1, 3, 7, 8), (4, 3, 2, 3), (1, 1), (0, 1)),
+    ((1, 3, 9, 10), (4, 3, 3, 3), (2, 1), (1, 1)),
+    ((1, 3, 9, 10), (4, 3, 3, 3), (1, 3), (1, 1)),
+    ((1, 3, 7, 8), (4, 3, 3, 3), (1, 1), (2, 0)),
+    ((2, 3, 9, 11), (2, 3, 2, 3), (2, 3), (1, 2)),
+    ((2, 2, 12, 12), (1, 2, 7, 7), (1, 1), (3, 3)),
+], ids=["kernel-3x1", "kernel-1x5", "kernel-2x3", "stride-2-1", "stride-1-3",
+        "padding-2-0", "batch-2-all-unequal", "attention-2-to-1-7x7"])
+def test_conv_matches_loop_oracle_off_the_square_grid(x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(131)
+    x = rand_ft(rng, x_shape)
+    p = Conv2DParams(rng.normal(size=w_shape), rng.normal(size=w_shape[0]),
+                     stride=stride, padding=padding)
+    got = conv2d(x, p).data
+    want = conv2d_loops(x.data, p.weights, p.bias, stride=stride, padding=padding)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_conv_rejects_channel_mismatch_and_undersized_input():
     x = ft(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError):
