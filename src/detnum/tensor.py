@@ -111,9 +111,9 @@ class Conv2DParams:
 def conv2d(x: FeatureTensor, p: Conv2DParams) -> FeatureTensor:
     """2-d cross-correlation (no kernel flip), one GEMM per kernel row: row i
     contracts the width-kw windows of input rows i, i+sh, ... with
-    weights[:, :, i] over (channel, kernel column). The sum starts at the
-    bias and adds the kh products in row order, so only 1/kh of the full
-    im2col matrix is ever copied."""
+    weights[:, :, i] over (channel, kernel column), so at most 1/kh of the
+    full im2col matrix is copied at a time. The sum starts at the bias and
+    adds the kh products in row order."""
     n, c, h, w = x.shape
     oc, ic, kh, kw = p.weights.shape
     if ic != c:
@@ -126,11 +126,10 @@ def conv2d(x: FeatureTensor, p: Conv2DParams) -> FeatureTensor:
             f"kernel {kh}x{kw} with stride {p.stride} padding {p.padding} "
             f"gives empty output on {h}x{w} input")
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     out = np.full((n, oh, ow, oc), p.bias)
     for i in range(kh):
-        rows = xp[:, :, i:i + sh * (oh - 1) + 1:sh]
-        windows = sliding_window_view(rows, kw, axis=3)[..., ::sw, :]
-        out += np.tensordot(windows, p.weights[:, :, i], axes=([1, 4], [1, 2]))
+        out += np.tensordot(windows[..., i, :], p.weights[:, :, i], axes=([1, 4], [1, 2]))
     return FeatureTensor(out.transpose(0, 3, 1, 2))
 
 
