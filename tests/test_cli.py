@@ -413,14 +413,14 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
                               capture_output=True, check=True)
         return proc.stdout
 
-    blobs = {}
+    outputs = {}
     for threads in (1, 2):
         out_dir = tmp_path / f"threads-{threads}"
         out_dir.mkdir()
         attn = run_with_threads(threads, "attn-demo", "--out", str(out_dir / "attn.ntb"))
         block = run_with_threads(threads, "fuse-check", "--block", "--trials", "5")
-        blobs[threads] = (attn, block, (out_dir / "attn.ntb").read_bytes())
-    assert blobs[1] == blobs[2]
+        outputs[threads] = (attn, block, (out_dir / "attn.ntb").read_bytes())
+    assert outputs[1] == outputs[2]
 
 
 # ---------------------------------------------------------------------------
