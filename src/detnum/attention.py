@@ -100,10 +100,6 @@ class SpatialAttnParams:
             raise ValueError("spatial attention conv must preserve spatial dims "
                              "(stride 1, padding (k-1)/2)")
 
-    @property
-    def kernel_size(self) -> int:
-        return self.conv.kernel[0]
-
     @classmethod
     def random(cls, kernel_size: int = 7, *, rng: np.random.Generator) -> "SpatialAttnParams":
         k = int(kernel_size)

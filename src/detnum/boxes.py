@@ -78,16 +78,6 @@ class AABox(namedtuple("AABox", "cx cy w h")):
         # namedtuple's _replace builds through _make
         return cls(*iterable)
 
-    @property
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x1, y1, x2, y2) corner view."""
-        return corners(self)
-
-    @property
-    def area(self) -> float:
-        x1, y1, x2, y2 = corners(self)
-        return (x2 - x1) * (y2 - y1)
-
 
 def iou(p: AABox, g: AABox) -> float:
     """Intersection over union of two boxes.

@@ -78,6 +78,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"--range expects three numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"--range fields must be finite, got {text!r}")
     return lo, hi, step
 
 
@@ -307,6 +309,8 @@ def _parse_profile(text: str):
     except ValueError:
         raise ValueError(
             f"--profile expects three numbers FAIL_HI:CLEAN_LO:CLEAN_HI, got {text!r}") from None
+    if not all(map(math.isfinite, (fail_hi, clean_lo, clean_hi))):
+        raise ValueError(f"--profile fields must be finite, got {text!r}")
 
     def scorer(level: float, _img) -> str:
         if level <= fail_hi:

@@ -19,9 +19,11 @@ coming from the transport-matching stage:
 
 On the equal-cardinality uniform matching problems produced here the
 negative-IoU factor collapses to 1 − IoU, making the first term a squared
-IoU gap. The conventional additive form 1 − IoU + (Δ + Ω)/2 is available as
-baseline kind "siou" (the composite with the factor fixed at 1), next to
-"giou", "diou", and "ciou". All box geometry comes from `boxes`.
+IoU gap. The conventional additive form 1 − IoU + (Δ + Ω)/2 is baseline
+kind "siou" (the composite with the factor fixed at 1), next to "giou",
+"diou", and "ciou". `loss_value(kind, ...)` evaluates every component and
+loss by name; `mks_loss` returns the composite with its breakdown. All box
+geometry comes from `boxes`.
 
 Gradients are forward-mode algorithmic derivatives over (cx, cy, w, h) of
 the prediction box; non-differentiable configurations (branch ties,
@@ -35,13 +37,12 @@ import math
 from dataclasses import dataclass
 
 from . import dual as dm
-from .boxes import AABox, enclosure, iou as _box_iou, overlap
+from .boxes import AABox, corners, enclosure, iou as _box_iou, overlap
 
 __all__ = [
     "DEFAULT_THETA", "GRADIENT_KINDS", "BASELINE_KINDS",
     "LossBreakdown", "GradientResult",
-    "angle_cost", "distance_cost", "shape_cost", "mks_loss",
-    "baseline_loss", "loss_value", "loss_gradient", "singularity_reasons",
+    "mks_loss", "loss_value", "loss_gradient", "singularity_reasons",
 ]
 
 DEFAULT_THETA = 4.0
@@ -132,13 +133,15 @@ def _shape_core(pf, gf, theta):
     return (1.0 - dm.exp(-ww)) ** theta + (1.0 - dm.exp(-wh)) ** theta
 
 
-def _mks_core(pf, gf, theta, negative_iou):
+def _mks_terms(pf, gf, theta, negative_iou):
+    """(Λ, Δ, Ω, 1 − IoU, total) of the composite; a None negative_iou
+    stands for the collapsed factor 1 − IoU."""
     lam = _angle_core(pf, gf)
     delta = _distance_core(pf, gf, lam)
     omega = _shape_core(pf, gf, theta)
     iuc = 1.0 - _box_iou(pf, gf)
     niou = iuc if negative_iou is None else negative_iou
-    return niou * iuc + (delta + omega) / 2.0
+    return lam, delta, omega, iuc, niou * iuc + (delta + omega) / 2.0
 
 
 def _giou_core(pf, gf):
@@ -170,26 +173,18 @@ def _ciou_core(pf, gf):
     return base + (v * v) / denom
 
 
-def _dispatch(kind, pf, gf, theta, negative_iou):
-    if kind == "angle":
-        return _angle_core(pf, gf)
-    if kind == "distance":
-        return _distance_core(pf, gf, _angle_core(pf, gf))
-    if kind == "shape":
-        return _shape_core(pf, gf, theta)
-    if kind == "iou_cost":
-        return 1.0 - _box_iou(pf, gf)
-    if kind == "mks":
-        return _mks_core(pf, gf, theta, negative_iou)
-    if kind == "siou":
-        return _mks_core(pf, gf, theta, 1.0)
-    if kind == "giou":
-        return _giou_core(pf, gf)
-    if kind == "diou":
-        return _diou_core(pf, gf)
-    if kind == "ciou":
-        return _ciou_core(pf, gf)
-    raise ValueError(f"unknown loss kind {kind!r}; expected one of {GRADIENT_KINDS}")
+# kind -> core(pf, gf, theta, negative_iou), in GRADIENT_KINDS order
+_CORES = {
+    "angle": lambda pf, gf, theta, niou: _angle_core(pf, gf),
+    "distance": lambda pf, gf, theta, niou: _distance_core(pf, gf, _angle_core(pf, gf)),
+    "shape": lambda pf, gf, theta, niou: _shape_core(pf, gf, theta),
+    "iou_cost": lambda pf, gf, theta, niou: 1.0 - _box_iou(pf, gf),
+    "mks": lambda pf, gf, theta, niou: _mks_terms(pf, gf, theta, niou)[-1],
+    "giou": lambda pf, gf, theta, niou: _giou_core(pf, gf),
+    "diou": lambda pf, gf, theta, niou: _diou_core(pf, gf),
+    "ciou": lambda pf, gf, theta, niou: _ciou_core(pf, gf),
+    "siou": lambda pf, gf, theta, niou: _mks_terms(pf, gf, theta, 1.0)[-1],
+}
 
 
 def _check_kind(kind: str) -> str:
@@ -199,55 +194,25 @@ def _check_kind(kind: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# public component / loss values
+# public loss values
 # ---------------------------------------------------------------------------
-
-def angle_cost(p: AABox, g: AABox) -> float:
-    """Angle cost Λ ∈ [0, 1]; 0 at axis alignment, 1 at 45° alignment."""
-    return float(_angle_core(p, g))
-
-
-def distance_cost(p: AABox, g: AABox, lam: float) -> float:
-    """Distance cost Δ ∈ [0, 2) given the precomputed angle cost lam."""
-    lam = float(lam)
-    if not (-1e-12 <= lam <= 1.0 + 1e-12):
-        raise ValueError(f"lam must be an angle cost in [0, 1], got {lam!r}")
-    return float(_distance_core(p, g, lam))
-
-
-def shape_cost(p: AABox, g: AABox, theta: float = DEFAULT_THETA) -> float:
-    """Shape cost Ω ∈ [0, 2); symmetric in the two boxes' sizes."""
-    theta = _check_theta(theta)
-    return float(_shape_core(p, g, theta))
-
 
 def mks_loss(p: AABox, g: AABox, negative_iou: float,
              theta: float = DEFAULT_THETA) -> LossBreakdown:
     """Composite loss with full per-component breakdown.
 
     negative_iou is supplied by the matching stage (or the caller); on
-    equal-cardinality uniform matching it equals 1 − IoU(p, g).
+    equal-cardinality uniform matching it equals 1 − IoU(p, g). Each field
+    equals `loss_value` of the kind of the same name, bit for bit.
     """
     theta = _check_theta(theta)
     negative_iou = float(negative_iou)
     if not math.isfinite(negative_iou):
         raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
-    lam = float(_angle_core(p, g))
-    delta = float(_distance_core(p, g, lam))
-    omega = float(_shape_core(p, g, theta))
-    iuc = 1.0 - _box_iou(p, g)
-    total = negative_iou * iuc + (delta + omega) / 2.0
+    lam, delta, omega, iuc, total = _mks_terms(p, g, theta, negative_iou)
     return LossBreakdown(angle_cost=lam, distance_cost=delta, shape_cost=omega,
                          iou_cost=iuc, negative_iou=negative_iou, total=total,
                          gamma_dist=2.0 - lam)
-
-
-def baseline_loss(kind: str, p: AABox, g: AABox, theta: float = DEFAULT_THETA) -> float:
-    """One of the comparison losses: giou, diou, ciou, or siou (additive)."""
-    k = _check_kind(kind)
-    if k not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
-    return loss_value(k, p, g, theta=theta)
 
 
 def loss_value(kind: str, p: AABox, g: AABox, *,
@@ -259,7 +224,7 @@ def loss_value(kind: str, p: AABox, g: AABox, *,
     """
     k = _check_kind(kind)
     theta = _check_theta(theta)
-    return float(_dispatch(k, p, g, theta, negative_iou))
+    return float(_CORES[k](p, g, theta, negative_iou))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +254,7 @@ def singularity_reasons(kind: str, p: AABox, g: AABox, tol: float = 1e-9) -> tup
         if sigma >= tol:
             near(abs(dy), "angle-x-zero")
             near(sigma - abs(dy), "angle-x-one")
-    (px1, py1, px2, py2), (gx1, gy1, gx2, gy2) = p.corners, g.corners
+    (px1, py1, px2, py2), (gx1, gy1, gx2, gy2) = corners(p), corners(g)
     if k in _CORNER_KINDS:
         near(abs(px1 - gx1), "corner-tie-x1")
         near(abs(px2 - gx2), "corner-tie-x2")
@@ -330,5 +295,5 @@ def loss_gradient(kind: str, p: AABox, g: AABox, *,
         return GradientResult(val, (0.0, 0.0, 0.0, 0.0), True, ("identical-boxes",))
     reasons = singularity_reasons(k, p, g)
     pd = dm.seed(p)
-    out = _dispatch(k, pd, g, theta, negative_iou)
+    out = _CORES[k](pd, g, theta, negative_iou)
     return GradientResult(dm.value(out), dm.grad(out), bool(reasons), reasons)

@@ -10,8 +10,8 @@ A sweep evaluates an external scorer (clean / miss / fail per level) on a
 coarse grid, then refines every outcome transition at the fine step so band
 boundaries are localized to fine-step resolution. The evaluated levels are
 then partitioned into contiguous same-outcome bands. The detector under
-test is external — this module classifies and bands its outcomes, it does
-not detect anything itself.
+test is external — this module bands the outcomes its scorer reports, it
+does not detect anything itself.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from typing import Callable
 import numpy as np
 
 from ._common import fmt, frozen_array
-from .metrics import confusion_counts
 
 __all__ = [
     "GrayImage", "BrightnessResult", "SweepConfig", "SweepEntry",
     "RobustnessBand", "SweepResult", "OUTCOMES",
     "set_brightness_result", "add_gaussian_noise", "psnr",
-    "classify_outcome", "outcome_from_records",
     "grid_levels", "sweep", "synthetic_gray", "write_pgm", "read_pgm",
     "sweep_to_csv", "bands_to_json",
 ]
@@ -38,6 +36,7 @@ __all__ = [
 OUTCOMES = ("clean", "miss", "fail")
 
 _BRIGHTNESS_MAX_ITERS = 8
+_MAX_SWEEP_LEVELS = 100_000    # most levels one sweep may evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,32 +158,6 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     return 10.0 * math.log10(255.0 * 255.0 * diff.size / sumsq)
 
 
-def classify_outcome(tp: int, fp: int, fn: int) -> str:
-    """fail = nothing found; miss = partial/spurious; clean = exact.
-
-    With no ground truths at all the tp==0 rule would misfire, so that case
-    is scored on false positives alone.
-    """
-    if tp < 0 or fp < 0 or fn < 0:
-        raise ValueError("counts must be >= 0")
-    if tp == 0 and fn == 0:       # no ground truths present
-        return "clean" if fp == 0 else "miss"
-    if tp == 0:
-        return "fail"
-    if fn > 0 or fp > 0:
-        return "miss"
-    return "clean"
-
-
-def outcome_from_records(dets, gts, iou_threshold: float = 0.5) -> str:
-    """Classify a detector's output for one level against ground truth."""
-    counts = confusion_counts(dets, gts, iou_threshold)
-    tp = sum(c.tp for c in counts.values())
-    fp = sum(c.fp for c in counts.values())
-    fn = sum(c.fn for c in counts.values())
-    return classify_outcome(tp, fp, fn)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -205,7 +178,10 @@ class SweepConfig:
         if self.noise_axis not in ("joint", "mean", "var"):
             raise ValueError(f"noise_axis must be joint, mean or var, got {self.noise_axis!r}")
         for name in ("lo", "hi", "coarse_step", "fine_step"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
         if not (self.lo <= self.hi):
             raise ValueError(f"need lo <= hi, got {self.lo} > {self.hi}")
         if self.coarse_step <= 0 or self.fine_step <= 0:
@@ -218,6 +194,16 @@ class SweepConfig:
             raise ValueError("brightness range must lie within [0, 255]")
         if self.mode == "noise" and self.lo < 0.0:
             raise ValueError("noise levels must be >= 0")
+        # the most levels sweep() can visit: every coarse interval refined.
+        # Ratios clamp at 1e18 (far past the cap), so inf stays countable.
+        coarse = math.floor(min((self.hi - self.lo) / self.coarse_step, 1e18) + 1e-9) + 1
+        refine = math.ceil(min(self.coarse_step / self.fine_step, 1e18)) - 1
+        worst = coarse + (coarse - 1) * refine
+        if worst > _MAX_SWEEP_LEVELS:
+            raise ValueError(
+                f"--range {self.lo:g}:{self.hi:g}:{self.coarse_step:g} with --fine-step "
+                f"{self.fine_step:g} can evaluate up to {worst} levels, more than "
+                f"{_MAX_SWEEP_LEVELS}")
 
 
 @dataclass(frozen=True)

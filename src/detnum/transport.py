@@ -2,17 +2,14 @@
 
 Builds box-to-box cost matrices (1 − IoU by default), solves the
 entropic-regularized Kantorovich problem with a log-domain Sinkhorn-Knopp
-iteration, provides exact small-instance solvers for both the Kantorovich
-LP and the Monge assignment, and exposes the negative-IoU quantity
+iteration, and provides exact small-instance solvers for the Kantorovich
+LP (`exact_kp`), the Monge assignment (`exact_mp`, Hungarian) and the
+rectangular injection (`exact_injection`, enumeration and Hungarian).
 
-    negative_iou(p, g) = MP/KP − IoU(p, g)
-
-combining the two optima with pairwise overlap. On equal-cardinality
-uniform problems MP = KP (Birkhoff extremality of the assignment
-polytope), so the ratio is 1 and the quantity collapses to 1 − IoU; for
-unequal cardinalities the Monge map does not exist and the same ratio = 1
-convention is applied. Both routes are implemented so the collapse itself
-is verifiable.
+The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
+on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
+the assignment polytope), and without a Monge map (unequal cardinalities)
+the ratio is 1 by convention. `match` passes 1 − IoU to `mks_loss`.
 
 Costs must be finite: `build_cost_matrix` only produces 1 − IoU in [0, 1]
 or finite siou values, so no solver handles forbidden (+inf) entries.
@@ -29,14 +26,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from ._common import frozen_array
-from .boxes import AABox, iou as _box_iou, iou_matrix
-from .losses import DEFAULT_THETA, LossBreakdown, baseline_loss, mks_loss
+from .boxes import iou as _box_iou, iou_matrix
+from .losses import DEFAULT_THETA, LossBreakdown, loss_value, mks_loss
 
 __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL",
     "OTProblem", "TransportPlan", "Assignment", "MatchConfig", "MatchResult",
     "InfeasibleMongeError", "uniform_marginals", "build_cost_matrix",
-    "sinkhorn", "exact_kp", "exact_mp", "exact_injection", "negative_iou",
+    "sinkhorn", "exact_kp", "exact_mp", "exact_injection",
     "round_plan", "match",
 ]
 
@@ -45,7 +42,7 @@ DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-9
 
 _EXACT_CAP = 64     # largest side exact_kp will hand to the LP
-_BRUTE_CAP = 8      # permutation enumeration bound inside exact_mp
+_BRUTE_CAP = 8      # largest smaller side exact_injection will enumerate
 _INJECTION_CAP = 500_000   # most maps exact_injection will enumerate
 
 
@@ -137,7 +134,7 @@ def build_cost_matrix(preds, gts, *, kind: str = "iou",
     if kind == "iou":
         cost = 1.0 - iou_matrix(preds, gts)
     elif kind == "siou":
-        cost = [[baseline_loss("siou", p, g, theta=theta) for g in gts] for p in preds]
+        cost = [[loss_value("siou", p, g, theta=theta) for g in gts] for p in preds]
     else:
         raise ValueError(f"unknown cost kind {kind!r}; expected 'iou' or 'siou'")
     return OTProblem(cost, uniform_marginals(len(preds)), uniform_marginals(len(gts)))
@@ -255,15 +252,16 @@ def exact_kp(problem: OTProblem) -> TransportPlan:
 
 
 @lru_cache(maxsize=None)
-def _perm_table(n: int, k: int | None = None) -> np.ndarray:
+def _perm_table(n: int, k: int) -> np.ndarray:
     """Every ordered selection of k of range(n), one per row, in
-    lexicographic order; k defaults to n (all permutations)."""
-    k = n if k is None else k
+    lexicographic order."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
     return frozen_array(np.fromiter(flat, dtype=np.int64).reshape(-1, k), dtype=np.int64)
 
 
-def _require_monge_feasible(problem: OTProblem) -> int:
+def exact_mp(problem: OTProblem) -> Assignment:
+    """Exact Monge optimum: the minimum-cost permutation, by Hungarian
+    assignment (`linear_sum_assignment`)."""
     n, m = problem.n, problem.m
     if n != m:
         raise InfeasibleMongeError(
@@ -271,30 +269,7 @@ def _require_monge_feasible(problem: OTProblem) -> int:
     w = 1.0 / n
     if (np.abs(problem.mu - w).max() > 1e-9) or (np.abs(problem.nu - w).max() > 1e-9):
         raise InfeasibleMongeError("Monge map needs uniform marginals on both sides")
-    return n
-
-
-def exact_mp(problem: OTProblem, method: str = "auto") -> Assignment:
-    """Exact Monge optimum: the minimum-cost permutation.
-
-    Permutation enumeration for n <= 8 (lexicographically smallest optimum
-    on ties), Hungarian-style exact assignment beyond; method may force
-    "brute" or "hungarian" for cross-checking the two routes.
-    """
-    n = _require_monge_feasible(problem)
-    if method == "auto":
-        method = "brute" if n <= _BRUTE_CAP else "hungarian"
-    if method == "brute":
-        if n > _BRUTE_CAP:
-            raise ValueError(f"brute-force enumeration caps n at {_BRUTE_CAP}, got {n}")
-        perms = _perm_table(n)
-        totals = problem.cost[np.arange(n)[None, :], perms].sum(axis=1)
-        perm = perms[int(np.argmin(totals))]
-    elif method == "hungarian":
-        rows, cols = linear_sum_assignment(problem.cost)
-        perm = cols[np.argsort(rows)]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected auto|brute|hungarian")
+    _, perm = linear_sum_assignment(problem.cost)   # rows come back as 0..n-1
     pairs = tuple((i, int(perm[i])) for i in range(n))
     return Assignment(pairs, (), float(problem.cost[np.arange(n), perm].sum()) / n)
 
@@ -320,25 +295,6 @@ def exact_injection(problem: OTProblem) -> tuple[float, float]:
     totals = np.cumsum(picked, axis=1, out=picked)[:, -1]
     rows, cols = linear_sum_assignment(problem.cost)
     return float(totals.min()), float(problem.cost[rows, cols].sum())
-
-
-def negative_iou(p: AABox, g: AABox, mp_value: float, kp_value: float) -> float:
-    """MP/KP − IoU(p, g).
-
-    MP >= KP always; both zero means the optima coincide and the ratio is
-    taken as 1 (so the result is 1 − IoU, the collapsed form).
-    """
-    mp_value = float(mp_value)
-    kp_value = float(kp_value)
-    if mp_value < kp_value - 1e-9:
-        raise ValueError(f"MP ({mp_value!r}) below KP ({kp_value!r}); optima are inconsistent")
-    if kp_value <= 1e-12:
-        if mp_value > 1e-9:
-            raise ValueError(f"KP = 0 with MP = {mp_value!r} > 0 cannot happen (MP >= KP)")
-        ratio = 1.0
-    else:
-        ratio = mp_value / kp_value
-    return ratio - _box_iou(p, g)
 
 
 def round_plan(plan: np.ndarray) -> list[tuple[int, int]]:

@@ -19,8 +19,7 @@ from detnum.boxes import AABox, iou
 from detnum.cli import main
 from detnum.fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
                          fold_fusion_block, fusion_block, random_conv_params)
-from detnum.losses import (angle_cost, distance_cost, loss_gradient,
-                           loss_value, mks_loss, shape_cost,
+from detnum.losses import (loss_gradient, loss_value, mks_loss,
                            singularity_reasons)
 from detnum.metrics import DetectionRecord, evaluate
 from detnum.robustness import (GrayImage, SweepConfig, add_gaussian_noise,
@@ -154,10 +153,8 @@ def test_criterion_4_gradients_match_finite_differences():
 def test_criterion_5_worked_pair_reproduces_pinned_values():
     p, g = AABox(1, 1, 2, 2), AABox(2, 2, 2, 2)
     iou_val = iou(p, g)
-    lam = angle_cost(p, g)
-    delta = distance_cost(p, g, lam)
-    omega = shape_cost(p, g)
-    total = mks_loss(p, g, 1.0 - iou_val).total
+    br = mks_loss(p, g, 1.0 - iou_val)
+    lam, delta, omega, total = br.angle_cost, br.distance_cost, br.shape_cost, br.total
     ok = (abs(iou_val - 1.0 / 7.0) < 1e-5
           and abs(lam - 1.0) < 1e-5
           and abs(delta - 0.21032136637126045) < 1e-5

@@ -446,10 +446,30 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
     (["fuse-check", "--trials", "2", "--tol", "-1"], "--tol must be > 0 and finite, got -1.0"),
     (["sweep", "--range", "0:10:5", "--fine-step", "nan", "--profile", "1:2:8"],
      "--fine-step must be > 0 and finite, got nan"),
+    (["sweep", "--range", "0:10:nan", "--profile", "1:2:8"],
+     "--range fields must be finite, got '0:10:nan'"),
+    (["sweep", "--range", "0:nan:5", "--profile", "1:2:8"],
+     "--range fields must be finite, got '0:nan:5'"),
+    (["sweep", "--range", "0:10:inf", "--profile", "1:2:8"],
+     "--range fields must be finite, got '0:10:inf'"),
+    (["sweep", "--range", "0:10:5", "--profile", "nan:2:8"],
+     "--profile fields must be finite, got 'nan:2:8'"),
+    (["sweep", "--range", "0:10:5", "--profile", "1:inf:8"],
+     "--profile fields must be finite, got '1:inf:8'"),
+    (["sweep", "--range", "0:10:5", "--fine-step", "1e-9", "--profile", "1:2:255",
+      "--mode", "noise"],
+     "--range 0:10:5 with --fine-step 1e-09 can evaluate up to 10000000001 levels, "
+     "more than 100000"),
+    (["sweep", "--range", "0:10:5", "--fine-step", "1e-13", "--profile", "1:2:255",
+      "--mode", "noise"],
+     "--range 0:10:5 with --fine-step 1e-13 can evaluate up to 100000000000001 levels, "
+     "more than 100000"),
 ], ids=["loss-compare", "match", "match-epsilon-nan", "eval", "attn-demo", "sweep",
         "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative",
         "gradcheck-tol-nan", "fuse-check-tol-nan", "fuse-check-tol-negative",
-        "sweep-fine-step-nan"])
+        "sweep-fine-step-nan", "sweep-range-step-nan", "sweep-range-hi-nan",
+        "sweep-range-step-inf", "sweep-profile-nan", "sweep-profile-inf",
+        "sweep-fine-step-1e-9", "sweep-fine-step-1e-13"])
 def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, match_files,
                                                   eval_files, argv, message):
     outcomes = tmp_path / "outcomes.txt"

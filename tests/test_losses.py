@@ -8,13 +8,9 @@ from detnum.boxes import AABox, iou
 from detnum.losses import (
     BASELINE_KINDS,
     GRADIENT_KINDS,
-    angle_cost,
-    baseline_loss,
-    distance_cost,
     loss_gradient,
     loss_value,
     mks_loss,
-    shape_cost,
     singularity_reasons,
 )
 
@@ -42,35 +38,35 @@ def unit_at(cx, cy):
 # ---------------------------------------------------------------------------
 
 def test_angle_horizontal_alignment_is_zero():
-    assert abs(angle_cost(unit_at(0, 0), unit_at(1, 0))) < 1e-12
+    assert abs(loss_value("angle", unit_at(0, 0), unit_at(1, 0))) < 1e-12
 
 
 def test_angle_diagonal_alignment_is_one():
-    assert angle_cost(unit_at(0, 0), unit_at(1, 1)) == pytest.approx(1.0, abs=1e-12)
+    assert loss_value("angle", unit_at(0, 0), unit_at(1, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angle_vertical_alignment_is_zero_up_to_clamp():
     # x is clamped just below 1 before arcsin, leaving a ~9e-4 residue
-    assert abs(angle_cost(unit_at(0, 0), unit_at(0, 1))) < 1e-3
+    assert abs(loss_value("angle", unit_at(0, 0), unit_at(0, 1))) < 1e-3
 
 
 def test_angle_coincident_centers_defined_as_zero():
-    assert angle_cost(AABox(1, 1, 2, 3), AABox(1, 1, 5, 1)) == 0.0
+    assert loss_value("angle", AABox(1, 1, 2, 3), AABox(1, 1, 5, 1)) == 0.0
 
 
 def test_angle_range_and_symmetry():
     rng = np.random.default_rng(31)
     for _ in range(300):
         p, g = rand_box(rng), rand_box(rng)
-        v = angle_cost(p, g)
+        v = loss_value("angle", p, g)
         assert 0.0 <= v <= 1.0
-        assert v == pytest.approx(angle_cost(g, p), abs=1e-12)
+        assert v == pytest.approx(loss_value("angle", g, p), abs=1e-12)
 
 
 def test_angle_maximized_at_45_degrees():
     # sweep the alignment angle; the cost must peak at 45 degrees
     angles = np.linspace(0.01, math.pi / 2 - 0.01, 181)
-    vals = [angle_cost(unit_at(0, 0), unit_at(math.cos(a), math.sin(a)))
+    vals = [loss_value("angle", unit_at(0, 0), unit_at(math.cos(a), math.sin(a)))
             for a in angles]
     peak = int(np.argmax(vals))
     assert abs(angles[peak] - math.pi / 4) < 0.02
@@ -84,12 +80,11 @@ def test_angle_maximized_at_45_degrees():
 def test_distance_identical_centers_is_zero():
     p = AABox(2, 3, 1, 1)
     g = AABox(2, 3, 4, 2)
-    assert distance_cost(p, g, angle_cost(p, g)) == 0.0
+    assert loss_value("distance", p, g) == 0.0
 
 
 def test_distance_worked_pair_frozen_value():
-    lam = angle_cost(P_WORKED, G_WORKED)
-    d = distance_cost(P_WORKED, G_WORKED, lam)
+    d = loss_value("distance", P_WORKED, G_WORKED)
     assert d == pytest.approx(DELTA_WORKED, abs=1e-12)
     assert d == pytest.approx(2.0 - 2.0 * math.exp(-1.0 / 9.0), abs=1e-12)
 
@@ -103,16 +98,11 @@ def test_distance_grows_monotonically_toward_family_sup():
     for t in [1, 2, 4, 8, 16, 32, 64]:
         p = unit_at(0, 0)
         g = unit_at(t, t)
-        d = distance_cost(p, g, angle_cost(p, g))
+        d = loss_value("distance", p, g)
         assert d > prev
         prev = d
     assert prev < sup
     assert prev > sup - 0.03
-
-
-def test_distance_rejects_bad_lambda():
-    with pytest.raises(ValueError):
-        distance_cost(P_WORKED, G_WORKED, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +110,11 @@ def test_distance_rejects_bad_lambda():
 # ---------------------------------------------------------------------------
 
 def test_shape_equal_sizes_is_zero():
-    assert shape_cost(AABox(0, 0, 2, 3), AABox(9, -4, 2, 3)) == 0.0
+    assert loss_value("shape", AABox(0, 0, 2, 3), AABox(9, -4, 2, 3)) == 0.0
 
 
 def test_shape_half_width_frozen_value():
-    v = shape_cost(AABox(0, 0, 1, 5), AABox(0, 0, 2, 5), theta=4)
+    v = loss_value("shape", AABox(0, 0, 1, 5), AABox(0, 0, 2, 5), theta=4)
     assert v == pytest.approx(OMEGA_HALFWIDTH, abs=1e-12)
     assert v == pytest.approx((1.0 - math.exp(-0.5)) ** 4, abs=1e-12)
 
@@ -133,20 +123,20 @@ def test_shape_swap_invariant():
     rng = np.random.default_rng(37)
     for _ in range(200):
         p, g = rand_box(rng), rand_box(rng)
-        assert shape_cost(p, g) == pytest.approx(shape_cost(g, p), abs=1e-15)
+        assert loss_value("shape", p, g) == pytest.approx(loss_value("shape", g, p), abs=1e-15)
 
 
 def test_shape_monotone_in_size_ratio():
     prev = -1.0
     for w in [1.0, 1.5, 2.0, 3.0, 5.0, 9.0]:
-        v = shape_cost(AABox(0, 0, w, 1), AABox(0, 0, 1, 1), theta=4)
+        v = loss_value("shape", AABox(0, 0, w, 1), AABox(0, 0, 1, 1), theta=4)
         assert v > prev
         prev = v
 
 
 def test_shape_theta_validation():
     with pytest.raises(ValueError):
-        shape_cost(P_WORKED, G_WORKED, theta=0.5)
+        loss_value("shape", P_WORKED, G_WORKED, theta=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +214,26 @@ def test_translation_and_scale_invariance_of_total():
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
 def test_baseline_identical_boxes_zero(kind):
     b = AABox(1.0, 2.0, 3.0, 4.0)
-    assert baseline_loss(kind, b, b) == 0.0
+    assert loss_value(kind, b, b) == 0.0
 
 
 def test_baseline_worked_pair_frozen_values():
-    assert baseline_loss("giou", P_WORKED, G_WORKED) == pytest.approx(GIOU_WORKED, abs=1e-12)
-    assert baseline_loss("diou", P_WORKED, G_WORKED) == pytest.approx(DIOU_WORKED, abs=1e-12)
+    assert loss_value("giou", P_WORKED, G_WORKED) == pytest.approx(GIOU_WORKED, abs=1e-12)
+    assert loss_value("diou", P_WORKED, G_WORKED) == pytest.approx(DIOU_WORKED, abs=1e-12)
     # both boxes are square, so the ciou aspect term vanishes
-    assert baseline_loss("ciou", P_WORKED, G_WORKED) == pytest.approx(DIOU_WORKED, abs=1e-12)
-    assert baseline_loss("siou", P_WORKED, G_WORKED) == pytest.approx(SIOU_STD_WORKED, abs=1e-12)
+    assert loss_value("ciou", P_WORKED, G_WORKED) == pytest.approx(DIOU_WORKED, abs=1e-12)
+    assert loss_value("siou", P_WORKED, G_WORKED) == pytest.approx(SIOU_STD_WORKED, abs=1e-12)
 
 
 def test_giou_disjoint_exceeds_plain_iou_loss():
     p = unit_at(0, 0)
     g = unit_at(5, 0)
-    assert baseline_loss("giou", p, g) > 1.0
+    assert loss_value("giou", p, g) > 1.0
 
 
 def test_baseline_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        baseline_loss("yolo", P_WORKED, G_WORKED)
+    with pytest.raises(ValueError, match="unknown loss kind 'yolo'"):
+        loss_value("yolo", P_WORKED, G_WORKED)
 
 
 def test_loss_value_mks_collapsed_negative_iou():

@@ -7,7 +7,7 @@ so every run of the suite draws the same examples.
 from hypothesis import assume, given, settings, strategies as st
 
 from detnum.boxes import AABox, iou, iou_matrix
-from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value
+from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value, mks_loss
 from detnum.metrics import DetectionRecord, confusion_counts, evaluate
 
 from helpers import eval_brute, frac_iou
@@ -55,6 +55,21 @@ def test_iou_matrix_equals_scalar_iou_bitwise(ps, gs):
 @given(st.sampled_from(GRADIENT_KINDS), boxes, boxes)
 def test_gradient_value_equals_loss_value_bitwise(kind, p, g):
     assert loss_gradient(kind, p, g).value == loss_value(kind, p, g)
+
+
+@fixed
+@given(st.one_of(boxes, lattice_boxes), st.one_of(boxes, lattice_boxes),
+       st.floats(allow_nan=False, allow_infinity=False), st.floats(1.0, 8.0))
+def test_mks_breakdown_equals_loss_value_of_each_kind_bitwise(p, g, niou, theta):
+    # the MKS formula is written once: every field of the breakdown is the
+    # loss_value of the kind of the same name
+    br = mks_loss(p, g, niou, theta=theta)
+    fields = {"angle": br.angle_cost, "distance": br.distance_cost,
+              "shape": br.shape_cost, "iou_cost": br.iou_cost}
+    for kind, v in fields.items():
+        assert v.hex() == loss_value(kind, p, g, theta=theta).hex(), kind
+    assert br.total.hex() == loss_value("mks", p, g, theta=theta, negative_iou=niou).hex()
+    assert br.negative_iou == niou
 
 
 def _records(draw, n, confidence):

@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from detnum.boxes import AABox
-from detnum.metrics import DetectionRecord
 from detnum.robustness import (
     GrayImage,
     SweepConfig,
     add_gaussian_noise,
     bands_to_json,
-    classify_outcome,
     grid_levels,
-    outcome_from_records,
     psnr,
     read_pgm,
     set_brightness_result,
@@ -191,39 +187,6 @@ def test_psnr_decreases_as_noise_grows():
 
 
 # ---------------------------------------------------------------------------
-# outcome classification
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("tp,fp,fn,want", [
-    (2, 0, 0, "clean"),
-    (2, 1, 0, "miss"),
-    (2, 0, 1, "miss"),
-    (0, 0, 2, "fail"),
-    (0, 3, 2, "fail"),
-    (0, 0, 0, "clean"),   # nothing expected, nothing reported
-    (0, 3, 0, "miss"),    # nothing expected, spurious boxes reported
-])
-def test_classify_outcome_table(tp, fp, fn, want):
-    assert classify_outcome(tp, fp, fn) == want
-
-
-def test_classify_outcome_rejects_negative():
-    with pytest.raises(ValueError):
-        classify_outcome(-1, 0, 0)
-
-
-def test_outcome_from_records():
-    b = AABox(2, 2, 2, 2)
-    gts = [DetectionRecord("a", 0, b)]
-    hit = [DetectionRecord("a", 0, b, 0.9)]
-    off = [DetectionRecord("a", 0, AABox(50, 50, 2, 2), 0.9)]
-    assert outcome_from_records(hit, gts) == "clean"
-    assert outcome_from_records(off, gts) == "fail"
-    assert outcome_from_records(hit + off, gts) == "miss"
-    assert outcome_from_records([], gts) == "fail"
-
-
-# ---------------------------------------------------------------------------
 # grids and sweeps
 # ---------------------------------------------------------------------------
 
@@ -255,6 +218,30 @@ def test_sweep_config_validation():
         SweepConfig("noise", 0, 1, 0.1, 0.2)   # fine >= coarse
     with pytest.raises(ValueError):
         SweepConfig("noise", 0, 1, 0.1, 0.01, noise_axis="sigma")
+    for fields in [(math.nan, 1, 0.5, 0.1), (0, math.nan, 0.5, 0.1), (0, 1, math.nan, 0.1),
+                   (0, 1, 0.5, math.nan), (0, math.inf, 0.5, 0.1), (0, 1, math.inf, 0.1)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepConfig("noise", *fields)
+
+
+def test_sweep_config_caps_worst_case_level_count():
+    # 2 coarse levels plus one refined interval: 2 + (99999 - 1) = 100000
+    # levels at most, the cap itself; one more and the config is refused
+    # before any level is evaluated
+    SweepConfig("noise", 0, 99999, 99999, 1)
+    with pytest.raises(ValueError, match="can evaluate up to 100001 levels, more than 100000"):
+        SweepConfig("noise", 0, 100000, 100000, 1)
+    # a level count that overflows to inf still counts as over the cap
+    with pytest.raises(ValueError, match="more than 100000"):
+        SweepConfig("noise", 0, 1e300, 1e-300, 1e-301)
+
+
+def test_sweep_visits_the_worst_case_count_when_every_interval_changes():
+    # 5 coarse levels, each of the 4 intervals refined at 3 levels: 5 + 4 * 3
+    cfg = SweepConfig("noise", 0, 4, 1, 0.25)
+    res = sweep(synthetic_gray(42), cfg,
+                lambda level, img: ("clean", "fail")[int(level) % 2])
+    assert len(res.entries) == 17
 
 
 def test_sweep_always_clean_single_band():

@@ -11,7 +11,6 @@ from detnum.transport import (
     exact_kp,
     exact_mp,
     match,
-    negative_iou,
     round_plan,
     sinkhorn,
     uniform_marginals,
@@ -202,21 +201,13 @@ def test_exact_mp_identity_on_diagonal_costs():
 
 def test_exact_mp_matches_brute_oracle():
     rng = np.random.default_rng(79)
-    for _ in range(20):
-        p = rand_problem(rng, 6)
-        perm, best = brute_assignment(p.cost)
-        a = exact_mp(p)
-        assert a.total_cost == pytest.approx(best, abs=1e-12)
-        assert tuple(j for _, j in a.pairs) == perm
-
-
-def test_exact_mp_brute_and_hungarian_agree():
-    rng = np.random.default_rng(83)
-    for _ in range(10):
-        p = rand_problem(rng, 7)
-        b = exact_mp(p, method="brute")
-        h = exact_mp(p, method="hungarian")
-        assert b.total_cost == pytest.approx(h.total_cost, abs=1e-12)
+    for n in range(1, 8):
+        for _ in range(6):
+            p = rand_problem(rng, n)
+            perm, best = brute_assignment(p.cost)
+            a = exact_mp(p)
+            assert a.total_cost == pytest.approx(best, abs=1e-12)
+            assert tuple(j for _, j in a.pairs) == perm
 
 
 def test_exact_mp_infeasible_cases():
@@ -252,34 +243,6 @@ def test_monge_at_least_kantorovich():
         assert mp >= kp - 1e-9
         # equal-size uniform marginals: Birkhoff collapses the two optima
         assert mp == pytest.approx(kp, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# negative_iou
-# ---------------------------------------------------------------------------
-
-def test_negative_iou_identical_pair_zero_costs():
-    b = AABox(1, 1, 2, 2)
-    assert negative_iou(b, b, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_negative_iou_worked_value():
-    p, g = AABox(1, 1, 2, 2), AABox(2, 2, 2, 2)
-    v = negative_iou(p, g, 0.4, 0.4)
-    assert v == pytest.approx(1.0 - 1 / 7, abs=1e-12)
-
-
-def test_negative_iou_ratio_scales():
-    p, g = AABox(1, 1, 2, 2), AABox(2, 2, 2, 2)
-    assert negative_iou(p, g, 0.6, 0.4) == pytest.approx(1.5 - 1 / 7, abs=1e-12)
-
-
-def test_negative_iou_rejects_mp_below_kp():
-    b = AABox(0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        negative_iou(b, b, 0.3, 0.4)
-    with pytest.raises(ValueError):
-        negative_iou(b, b, 0.3, 0.0)
 
 
 # ---------------------------------------------------------------------------
