@@ -62,11 +62,7 @@ _SHAPE_KINDS = frozenset({"shape", "mks", "siou"})
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-component view of one mks_loss evaluation.
-
-    gamma_dist is the distance-cost exponent γ = 2 − Λ (unrelated to any
-    other γ in this package).
-    """
+    """Per-component view of one mks_loss evaluation."""
 
     angle_cost: float
     distance_cost: float
@@ -74,7 +70,6 @@ class LossBreakdown:
     iou_cost: float
     negative_iou: float
     total: float
-    gamma_dist: float
 
 
 @dataclass(frozen=True)
@@ -211,8 +206,7 @@ def mks_loss(p: AABox, g: AABox, negative_iou: float,
         raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
     lam, delta, omega, iuc, total = _mks_terms(p, g, theta, negative_iou)
     return LossBreakdown(angle_cost=lam, distance_cost=delta, shape_cost=omega,
-                         iou_cost=iuc, negative_iou=negative_iou, total=total,
-                         gamma_dist=2.0 - lam)
+                         iou_cost=iuc, negative_iou=negative_iou, total=total)
 
 
 def loss_value(kind: str, p: AABox, g: AABox, *,

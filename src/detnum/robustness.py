@@ -194,9 +194,9 @@ class SweepConfig:
             raise ValueError("brightness range must lie within [0, 255]")
         if self.mode == "noise" and self.lo < 0.0:
             raise ValueError("noise levels must be >= 0")
-        # the most levels sweep() can visit: every coarse interval refined.
-        # Ratios clamp at 1e18 (far past the cap), so inf stays countable.
-        coarse = math.floor(min((self.hi - self.lo) / self.coarse_step, 1e18) + 1e-9) + 1
+        # the most levels sweep() can visit: every coarse interval refined
+        # (the ratio clamps at 1e18, far past the cap, as in _grid_count)
+        coarse = _grid_count(self.lo, self.hi, self.coarse_step)
         refine = math.ceil(min(self.coarse_step / self.fine_step, 1e18)) - 1
         worst = coarse + (coarse - 1) * refine
         if worst > _MAX_SWEEP_LEVELS:
@@ -235,8 +235,12 @@ def grid_levels(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError("step must be positive")
     if hi < lo:
         return []
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + k * step, 12) for k in range(count)]
+    return [round(lo + k * step, 12) for k in range(_grid_count(lo, hi, step))]
+
+
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    """len(grid_levels(lo, hi, step)) for lo <= hi; clamped at 1e18 + 1."""
+    return math.floor(min((hi - lo) / step, 1e18) + 1e-9) + 1
 
 
 def _noise_params(cfg: SweepConfig, level: float) -> tuple[float, float]:

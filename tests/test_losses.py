@@ -160,7 +160,6 @@ def test_mks_worked_pair_breakdown():
     assert r.angle_cost == pytest.approx(1.0, abs=1e-12)
     assert r.distance_cost == pytest.approx(DELTA_WORKED, abs=1e-12)
     assert r.shape_cost == 0.0
-    assert r.gamma_dist == pytest.approx(1.0, abs=1e-12)
     assert r.total == pytest.approx(MKS_TOTAL_WORKED, abs=1e-12)
 
 
