@@ -75,14 +75,12 @@ class BNParams:
         return self.mu.shape[0]
 
     @classmethod
-    def random(cls, channels: int, *, rng: np.random.Generator,
-               eps: float = 1e-5) -> "BNParams":
+    def random(cls, channels: int, *, rng: np.random.Generator) -> "BNParams":
         return cls(
             mu=rng.normal(0.0, 1.0, size=channels),
             var=rng.uniform(0.05, 2.0, size=channels),
             gamma=rng.normal(1.0, 0.3, size=channels),
             beta=rng.normal(0.0, 0.5, size=channels),
-            eps=eps,
         )
 
 

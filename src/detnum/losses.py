@@ -94,6 +94,15 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
+def _check_negative_iou(negative_iou):
+    """None (the collapsed 1 − IoU) or a finite float."""
+    if negative_iou is not None:
+        negative_iou = float(negative_iou)
+        if not math.isfinite(negative_iou):
+            raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
+    return negative_iou
+
+
 # ---------------------------------------------------------------------------
 # generic cores: work on plain floats or dual numbers alike
 # ---------------------------------------------------------------------------
@@ -201,9 +210,7 @@ def mks_loss(p: AABox, g: AABox, negative_iou: float,
     equals `loss_value` of the kind of the same name, bit for bit.
     """
     theta = _check_theta(theta)
-    negative_iou = float(negative_iou)
-    if not math.isfinite(negative_iou):
-        raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
+    negative_iou = _check_negative_iou(float(negative_iou))
     lam, delta, omega, iuc, total = _mks_terms(p, g, theta, negative_iou)
     return LossBreakdown(angle_cost=lam, distance_cost=delta, shape_cost=omega,
                          iou_cost=iuc, negative_iou=negative_iou, total=total)
@@ -218,7 +225,7 @@ def loss_value(kind: str, p: AABox, g: AABox, *,
     """
     k = _check_kind(kind)
     theta = _check_theta(theta)
-    return float(_CORES[k](p, g, theta, negative_iou))
+    return float(_CORES[k](p, g, theta, _check_negative_iou(negative_iou)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +287,7 @@ def loss_gradient(kind: str, p: AABox, g: AABox, *,
     """
     k = _check_kind(kind)
     theta = _check_theta(theta)
-    if negative_iou is not None:
-        negative_iou = float(negative_iou)
-        if not math.isfinite(negative_iou):
-            raise ValueError(f"negative_iou must be finite, got {negative_iou!r}")
+    negative_iou = _check_negative_iou(negative_iou)
     if p == g:
         val = loss_value(k, p, g, theta=theta, negative_iou=negative_iou)
         return GradientResult(val, (0.0, 0.0, 0.0, 0.0), True, ("identical-boxes",))

@@ -1,10 +1,10 @@
 """Degradation protocols: brightness sweeps, noise sweeps, PSNR banding.
 
 Grayscale images carry real-valued pixels on the 0..255 scale (quantization
-to 8 bits happens only at IO time). Brightness is *mean
-luminance*, set by multiplicative rescaling with an iterative correction
-when clamping to [0, 255] shifts the mean. Gaussian noise is injected on
-the normalized [0, 1] scale and PSNR uses MAX = 1 on that scale.
+to 8 bits happens only at IO time). Brightness is *mean luminance*, set
+exactly by the multiplicative rescale that solves the clamped mean; an
+unreachable target saturates every nonzero pixel. Gaussian noise is
+injected on the normalized [0, 1] scale and PSNR uses MAX = 1 on it.
 
 A sweep evaluates an external scorer (clean / miss / fail per level) on a
 coarse grid, then refines every outcome transition at the fine step so band
@@ -35,7 +35,6 @@ __all__ = [
 
 OUTCOMES = ("clean", "miss", "fail")
 
-_BRIGHTNESS_MAX_ITERS = 8
 _MAX_SWEEP_LEVELS = 100_000    # most levels one sweep may evaluate
 
 
@@ -86,49 +85,43 @@ class BrightnessResult:
 
 
 def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResult:
-    """Rescale so the mean luminance lands on target_gray (within ±1).
+    """Rescale so the mean luminance is exactly target_gray.
 
-    Multiplicative rescale preserves contrast structure; when clamping at
-    255 (or 0) drags the mean off target, the scale is corrected for up to
-    8 rounds. An all-zero image cannot be rescaled anywhere, so a nonzero
-    target falls back to an additive constant (flagged).
+    mean(clip(s·px, 0, 255)) is nondecreasing, concave and piecewise linear
+    in s. With k pixels clipped at s and S the sum of the rest, that piece
+    is (s·S + 255·k)/N, solved by s = (t·N − 255·k)/S; by concavity this
+    never passes the root, so the clipped set grows until it stops on the
+    target's piece. Targets at or above 255 × (share of nonzero pixels) set
+    every nonzero pixel to 255. A zero-mean image falls back to an additive
+    constant (flagged); a scale that overflows a float is refused.
     """
     t = float(target_gray)
     if not (0.0 <= t <= 255.0):
         raise ValueError(f"target_gray must lie in [0, 255], got {t!r}")
-    current = img.mean
+    px, current = img.pixels, img.mean
     if current <= 0.0:
         if t <= 0.0:
             return BrightnessResult(img, 0.0, 0, False)
-        flat = GrayImage(np.full_like(img.pixels, t))
+        flat = GrayImage(np.full_like(px, t))
         return BrightnessResult(flat, flat.mean, 0, True)
-    if t <= 0.0:
-        out = GrayImage(np.zeros_like(img.pixels))
-        return BrightnessResult(out, 0.0, 1, False)
-
-    # mean(clip(scale * px)) is increasing and concave in scale, so a
-    # secant step from (0, 0) and the unclipped guess approaches the root
-    # from below without overshoot; plain proportional correction crawls
-    # once clipping flattens the curve (e.g. targets near white).
-    scale = t / current
-    prev_scale, prev_f = 0.0, -t
-    out = img.pixels
-    iters = 0
-    for _ in range(_BRIGHTNESS_MAX_ITERS):
-        iters += 1
-        out = np.clip(img.pixels * scale, 0.0, 255.0)
-        achieved = float(out.mean())
-        f = achieved - t
-        if abs(f) <= 0.5 or achieved <= 0.0:
+    n, nonzero = px.size, np.count_nonzero(px)
+    if t * n >= 255.0 * nonzero:
+        result = GrayImage(np.where(px > 0.0, 255.0, 0.0))
+        return BrightnessResult(result, result.mean, 1, False)
+    scale, clipped, passes = t / current, 0, 0
+    while True:
+        if scale == math.inf:
+            raise ValueError(f"cannot rescale to mean {t!r}: the scale overflows")
+        passes += 1
+        out = px * scale
+        over = out > 255.0
+        k = int(np.count_nonzero(over))
+        # k == nonzero only when rounding lifts s past the last piece
+        if k <= clipped or k == nonzero:
             break
-        if f != prev_f:
-            step = f * (scale - prev_scale) / (f - prev_f)
-        else:                       # flat stretch: probe outward instead
-            step = -scale if f < 0.0 else scale * 0.5
-        prev_scale, prev_f = scale, f
-        scale = max(scale - step, prev_scale * 0.25)
-    result = GrayImage(out)
-    return BrightnessResult(result, result.mean, iters, False)
+        scale, clipped = (t * n - 255.0 * k) / float(px[~over].sum()), k
+    result = GrayImage(np.minimum(out, 255.0, out=out))
+    return BrightnessResult(result, result.mean, passes, False)
 
 
 def add_gaussian_noise(img: GrayImage, mean: float, var: float, seed=0) -> GrayImage:
@@ -204,6 +197,10 @@ class SweepConfig:
                 f"--range {self.lo:g}:{self.hi:g}:{self.coarse_step:g} with --fine-step "
                 f"{self.fine_step:g} can evaluate up to {worst} levels, more than "
                 f"{_MAX_SWEEP_LEVELS}")
+        finest = max(1e-12, math.ulp(self.hi))   # levels are keyed by round(x, 12)
+        if self.fine_step < finest:
+            raise ValueError(f"--fine-step {self.fine_step:g} is too small to tell levels "
+                             f"apart near {self.hi:g}: it must be at least {finest:g}")
 
 
 @dataclass(frozen=True)

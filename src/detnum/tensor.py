@@ -59,8 +59,8 @@ class FeatureTensor:
         return self.data.shape
 
     @classmethod
-    def random(cls, shape, rng: np.random.Generator, scale: float = 1.0) -> "FeatureTensor":
-        return cls(rng.normal(0.0, scale, size=shape))
+    def random(cls, shape, rng: np.random.Generator) -> "FeatureTensor":
+        return cls(rng.normal(0.0, 1.0, size=shape))
 
 
 def _pair(v, name: str, minimum: int) -> tuple[int, int]:

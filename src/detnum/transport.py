@@ -195,9 +195,6 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
         log_nu = np.log(problem.nu)
     u = np.zeros(problem.n)
     v = np.zeros(problem.m)
-    mr = norm_cost / -stages[0]
-    plan = np.exp(mr)
-    violation = np.inf
     converged = False
     iterations = 0
     for si, eps_k in enumerate(stages):

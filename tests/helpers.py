@@ -282,6 +282,37 @@ def eval_brute(dets, gts, iou_threshold=0.5, method="all_points"):
 
 
 # ---------------------------------------------------------------------------
+# brightness
+# ---------------------------------------------------------------------------
+
+def brightness_exact(pixels, target):
+    """(s, image) with mean(min(s·px, 255)) == target exactly, or None when
+    the target is at or above 255 × the share of nonzero pixels.
+
+    Tries every split of the sorted pixels: the j smallest scaled, the rest
+    clipped at 255. On that piece the mean is (s·P_j + 255·(N − j))/N with
+    P_j the sum of the j smallest, and its root counts only if it leaves the
+    j-th pixel at or below 255 and the (j+1)-th at or above. The image holds
+    each exact pixel min(s·px, 255) rounded once to float.
+    """
+    flat = [Fraction(float(v)) for v in np.ravel(pixels)]
+    vals = sorted(flat)
+    n = len(vals)
+    t = Fraction(float(target))
+    if t * n >= 255 * sum(1 for v in vals if v > 0):
+        return None
+    prefix = [Fraction(0)]
+    for v in vals:
+        prefix.append(prefix[-1] + v)
+    for j in range(n, 0, -1):
+        s = (t * n - 255 * (n - j)) / prefix[j]
+        if vals[j - 1] * s <= 255 and (j == n or vals[j] * s >= 255):
+            image = np.array([float(min(s * v, Fraction(255))) for v in flat])
+            return s, image.reshape(np.shape(pixels))
+    raise AssertionError(f"no piece holds target {target!r}")
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

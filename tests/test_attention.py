@@ -91,7 +91,7 @@ def test_spatial_map_constant_input_constant_interior():
 
 def test_spatial_map_strictly_inside_unit_interval():
     rng = np.random.default_rng(179)
-    x = FeatureTensor.random((2, 3, 6, 6), rng, scale=4.0)
+    x = FeatureTensor(rng.normal(0.0, 4.0, (2, 3, 6, 6)))
     m = spatial_attention_map(x, SpatialAttnParams.random(7, rng=rng)).data
     assert np.all(m > 0.0)
     assert np.all(m < 1.0)
@@ -152,7 +152,7 @@ def test_channel_weights_match_loop_oracle():
 
 def test_channel_weights_in_open_interval():
     rng = np.random.default_rng(199)
-    x = FeatureTensor.random((3, 8, 4, 4), rng, scale=5.0)
+    x = FeatureTensor(rng.normal(0.0, 5.0, (3, 8, 4, 4)))
     w = channel_attention_weights(x, ChannelAttnParams.random(8, 2, rng=rng)).data
     assert np.all(w > 0.0)
     assert np.all(w < 1.0)
@@ -189,7 +189,7 @@ def test_cbam_shapes_preserved_across_grid():
 def test_cbam_gates_shrink_magnitudes_elementwise():
     rng = np.random.default_rng(229)
     cp, sp = rand_params(rng, 6)
-    x = FeatureTensor.random((2, 6, 5, 5), rng, scale=2.0)
+    x = FeatureTensor(rng.normal(0.0, 2.0, (2, 6, 5, 5)))
     r = cbam(x, cp, sp)
     assert np.all(np.abs(r.output.data) <= np.abs(x.data) + 1e-15)
 

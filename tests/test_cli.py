@@ -464,12 +464,15 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
       "--mode", "noise"],
      "--range 0:10:5 with --fine-step 1e-13 can evaluate up to 100000000000001 levels, "
      "more than 100000"),
+    (["sweep", "--mode", "noise", "--range", "0:1e-9:1e-10", "--fine-step", "1e-13",
+      "--profile", "0:5.5e-10:1"],
+     "--fine-step 1e-13 is too small to tell levels apart near 1e-09: it must be at least 1e-12"),
 ], ids=["loss-compare", "match", "match-epsilon-nan", "eval", "attn-demo", "sweep",
         "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative",
         "gradcheck-tol-nan", "fuse-check-tol-nan", "fuse-check-tol-negative",
         "sweep-fine-step-nan", "sweep-range-step-nan", "sweep-range-hi-nan",
         "sweep-range-step-inf", "sweep-profile-nan", "sweep-profile-inf",
-        "sweep-fine-step-1e-9", "sweep-fine-step-1e-13"])
+        "sweep-fine-step-1e-9", "sweep-fine-step-1e-13", "sweep-fine-step-below-level-key"])
 def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, match_files,
                                                   eval_files, argv, message):
     outcomes = tmp_path / "outcomes.txt"

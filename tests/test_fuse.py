@@ -17,7 +17,7 @@ from helpers import bn_loops
 
 
 def rand_ft(rng, shape, scale=1.0):
-    return FeatureTensor.random(shape, rng, scale=scale)
+    return FeatureTensor(rng.normal(0.0, scale, shape))
 
 
 def identity_bn(channels):

@@ -179,6 +179,19 @@ def test_mks_rejects_nonfinite_negative_iou():
         mks_loss(P_WORKED, G_WORKED, float("nan"))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda niou: mks_loss(P_WORKED, G_WORKED, niou).total,
+    lambda niou: loss_value("mks", P_WORKED, G_WORKED, negative_iou=niou),
+    lambda niou: loss_gradient("mks", P_WORKED, G_WORKED, negative_iou=niou).value,
+], ids=["mks_loss", "loss_value", "loss_gradient"])
+def test_every_entry_point_checks_negative_iou_alike(entry):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"negative_iou must be finite, got {bad!r}"):
+            entry(bad)
+    # anything float() accepts is taken as that float
+    assert entry("0.5") == entry(0.5)
+
+
 def test_total_nonnegative_and_zero_iff_identical():
     rng = np.random.default_rng(41)
     for _ in range(500):

@@ -4,13 +4,20 @@ Hypothesis runs derandomized, with no deadline and no example database,
 so every run of the suite draws the same examples.
 """
 
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from detnum.boxes import AABox, iou, iou_matrix
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value, mks_loss
 from detnum.metrics import DetectionRecord, confusion_counts, evaluate
+from detnum.robustness import GrayImage, set_brightness_result
 
-from helpers import eval_brute, frac_iou
+from helpers import brightness_exact, eval_brute, frac_iou
 
 fixed = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
@@ -167,3 +174,44 @@ def test_evaluate_iou_tie_goes_to_earlier_ground_truth():
     assert _has_iou_tie([d1, d2], [g1, g2], 0.5)
     assert evaluate([d1, d2], [g1, g2]).per_class[0].tp == 1
     assert evaluate([d1, d2], [g2, g1]).per_class[0].tp == 2
+
+
+# small images where black and white pixels are common, so targets land on
+# clipped pieces, on breakpoints and past the reachable ceiling
+FLOAT_MAX = Fraction(sys.float_info.max)
+gray_images = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
+                     elements=st.one_of(st.sampled_from([0.0, 255.0]),
+                                        st.floats(0.0, 255.0)))
+
+
+gray_targets = st.one_of(st.floats(0.0, 255.0, exclude_min=True),
+                        st.integers(1, 255).map(float))
+
+
+@settings(fixed, max_examples=500)
+@given(gray_images, gray_targets)
+def test_brightness_is_exact_or_saturated(px, target):
+    img = GrayImage(px)
+    assume(img.mean > 0.0)        # a zero mean takes the additive fallback
+    exact = brightness_exact(px, target)
+    if exact is None:
+        res = set_brightness_result(img, target)
+        assert np.array_equal(res.image.pixels, np.where(px > 0.0, 255.0, 0.0))
+        return
+    scale, want = exact
+    # subnormal pixels can need a scale past the largest float: refused;
+    # skip scales a rounding could put on either side of that line
+    assume(not FLOAT_MAX / 2 < scale < 2 * FLOAT_MAX)
+    if scale > FLOAT_MAX:
+        with pytest.raises(ValueError, match="the scale overflows"):
+            set_brightness_result(img, target)
+        return
+    res = set_brightness_result(img, target)
+    assert not res.used_additive_fallback
+    assert abs(res.achieved_mean - target) <= 1e-12
+    assert np.max(np.abs(res.image.pixels - want)) <= 1e-12
+    # a scale that keeps every pixel a hair below 255 (so the rounding of
+    # target / mean cannot clip one) takes one pass: the plain rescale
+    if scale * Fraction(float(px.max())) <= 255 * (1 - Fraction(1, 10**9)):
+        assert res.iterations == 1
+        assert np.array_equal(res.image.pixels, px * (target / img.mean))

@@ -18,6 +18,8 @@ from detnum.robustness import (
     write_pgm,
 )
 
+from helpers import brightness_exact
+
 
 def always(outcome):
     return lambda level, img: outcome
@@ -64,12 +66,28 @@ def test_synthetic_gray_is_deterministic_and_midrange():
 # brightness
 # ---------------------------------------------------------------------------
 
+def assert_exact_brightness(img, target, res):
+    """res holds the exact oracle image, so its mean is the target."""
+    exact = brightness_exact(img.pixels, target)
+    assert exact is not None, target
+    assert abs(res.achieved_mean - target) <= 1e-12, target
+    assert np.max(np.abs(res.image.pixels - exact[1])) <= 1e-12, target
+
+
 def test_set_brightness_hits_targets_within_one_gray_level():
     img = synthetic_gray(42)
     for target in grid_levels(18, 160, 10):
-        out = set_brightness_result(img, target).image
-        assert abs(out.mean - target) <= 1.0, target
+        assert_exact_brightness(img, target, set_brightness_result(img, target))
     assert len(grid_levels(18, 160, 10)) == 15
+
+
+def test_set_brightness_hits_clipped_targets_exactly():
+    # from 170 up, the brightest pixels of synthetic_gray(42) clip
+    img = synthetic_gray(42)
+    for target in grid_levels(170, 250, 10):
+        res = set_brightness_result(img, target)
+        assert res.iterations > 1
+        assert_exact_brightness(img, target, res)
 
 
 def test_set_brightness_unclipped_is_single_pass():
@@ -77,13 +95,15 @@ def test_set_brightness_unclipped_is_single_pass():
     res = set_brightness_result(img, 60.0)
     assert res.iterations == 1
     assert not res.used_additive_fallback
-    assert res.achieved_mean == pytest.approx(60.0, abs=1e-9)
+    assert_exact_brightness(img, 60.0, res)
+    # the plain rescale, bit for bit
+    assert np.array_equal(res.image.pixels, img.pixels * (60.0 / img.mean))
 
 
 def test_set_brightness_with_heavy_clipping_still_converges():
     img = synthetic_gray(42)
     res = set_brightness_result(img, 250.0)
-    assert abs(res.achieved_mean - 250.0) <= 1.0
+    assert_exact_brightness(img, 250.0, res)
     assert res.iterations > 1
 
 
@@ -91,7 +111,31 @@ def test_set_brightness_idempotent_once_on_target():
     img = set_brightness_result(synthetic_gray(42), 90.0).image
     again = set_brightness_result(img, 90.0)
     assert again.iterations == 1
-    assert abs(again.achieved_mean - img.mean) <= 0.5
+    assert_exact_brightness(img, 90.0, again)
+    assert abs(again.achieved_mean - img.mean) <= 1e-12
+
+
+def test_set_brightness_saturates_unreachable_targets():
+    # a quarter of the pixels are black, so no scale lifts the mean past
+    # 255 * 3/4 = 191.25: that target and any above it saturate the rest
+    px = np.array([[0.0, 40.0], [100.0, 250.0]])
+    saturated = np.array([[0.0, 255.0], [255.0, 255.0]])
+    for target in (191.25, 200.0, 255.0):
+        res = set_brightness_result(GrayImage(px), target)
+        assert np.array_equal(res.image.pixels, saturated)
+        assert res.achieved_mean == 191.25
+        assert not res.used_additive_fallback
+    below = np.nextafter(191.25, 0.0)
+    assert_exact_brightness(GrayImage(px), below, set_brightness_result(GrayImage(px), below))
+
+
+def test_set_brightness_refuses_a_scale_that_overflows():
+    # on the first pass (1 / 5e-324), and on a clipped piece: 255 clips,
+    # then 1e-310 alone must carry 145 gray levels
+    with pytest.raises(ValueError, match="cannot rescale to mean 1.0: the scale overflows"):
+        set_brightness_result(GrayImage(np.array([[5e-324]])), 1.0)
+    with pytest.raises(ValueError, match="cannot rescale to mean 200.0: the scale overflows"):
+        set_brightness_result(GrayImage(np.array([[255.0, 1e-310]])), 200.0)
 
 
 def test_set_brightness_all_zero_fallback():
@@ -236,6 +280,19 @@ def test_sweep_config_caps_worst_case_level_count():
         SweepConfig("noise", 0, 1e300, 1e-300, 1e-301)
 
 
+def test_sweep_config_refuses_fine_steps_it_cannot_tell_apart():
+    # levels are keyed to 12 decimals: 1e-12 is the finest step
+    SweepConfig("noise", 0, 1e-9, 1e-10, 1e-12)
+    with pytest.raises(ValueError, match="--fine-step 9e-13 is too small to tell levels "
+                                         "apart near 1e-09: it must be at least 1e-12"):
+        SweepConfig("noise", 0, 1e-9, 1e-10, 9e-13)
+    # near 1e20 floats are 16384 apart
+    SweepConfig("noise", 1e20, 1e20 + 1e9, 1e8, 16384)
+    with pytest.raises(ValueError, match="--fine-step 11000 is too small to tell levels "
+                                         "apart near 1e\\+20: it must be at least 16384"):
+        SweepConfig("noise", 1e20, 1e20 + 1e9, 1e8, 11000)
+
+
 def test_sweep_visits_the_worst_case_count_when_every_interval_changes():
     # 5 coarse levels, each of the 4 intervals refined at 3 levels: 5 + 4 * 3
     cfg = SweepConfig("noise", 0, 4, 1, 0.25)
@@ -255,7 +312,7 @@ def test_sweep_always_clean_single_band():
     assert res.bands[0].interval == (20.0, 60.0)
     for e in res.entries:
         assert e.achieved_mean is not None
-        assert abs(e.achieved_mean - e.level) <= 1.0
+        assert abs(e.achieved_mean - e.level) <= 1e-12
 
 
 def test_sweep_profile_fixture_bands_exact():

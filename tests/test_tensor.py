@@ -27,7 +27,7 @@ def ft(a):
 
 
 def rand_ft(rng, shape, scale=1.0):
-    return FeatureTensor.random(shape, rng, scale=scale)
+    return FeatureTensor(rng.normal(0.0, scale, shape))
 
 
 # ---------------------------------------------------------------------------
