@@ -129,6 +129,16 @@ def test_set_brightness_saturates_unreachable_targets():
     assert_exact_brightness(GrayImage(px), below, set_brightness_result(GrayImage(px), below))
 
 
+def test_set_brightness_stops_when_rounding_clips_every_pixel():
+    # the exact scale leaves the 0.3 pixels a hair below 255; in floats the
+    # last piece's solve lands on or past 255, so every pixel clips
+    img = GrayImage(np.array([[200.0] + [0.3] * 12]))
+    target = np.nextafter(255.0, 0.0)
+    res = set_brightness_result(img, target)
+    assert np.all(res.image.pixels == 255.0)
+    assert_exact_brightness(img, target, res)
+
+
 def test_set_brightness_refuses_a_scale_that_overflows():
     # on the first pass (1 / 5e-324), and on a clipped piece: 255 clips,
     # then 1e-310 alone must carry 145 gray levels
