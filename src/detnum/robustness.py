@@ -104,23 +104,22 @@ def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResul
             return BrightnessResult(img, 0.0, 0, False)
         flat = GrayImage(np.full_like(px, t))
         return BrightnessResult(flat, flat.mean, 0, True)
-    n, nonzero = px.size, np.count_nonzero(px)
+    if t <= 0.0:
+        return BrightnessResult(GrayImage(np.zeros_like(px)), 0.0, 1, False)
+    n, nonzero = px.size, np.count_nonzero(px > 0.0)
     if t * n >= 255.0 * nonzero:
         result = GrayImage(np.where(px > 0.0, 255.0, 0.0))
         return BrightnessResult(result, result.mean, 1, False)
-    scale, clipped, passes = t / current, 0, 0
-    while True:
-        if scale == math.inf:
-            raise ValueError(f"cannot rescale to mean {t!r}: the scale overflows")
-        passes += 1
-        out = px * scale
-        over = out > 255.0
-        k = int(np.count_nonzero(over))
-        # k == nonzero only when rounding lifts s past the last piece
-        if k <= clipped or k == nonzero:
-            break
-        scale, clipped = (t * n - 255.0 * k) / float(px[~over].sum()), k
-    result = GrayImage(np.minimum(out, 255.0, out=out))
+    # pixels at or below 255 / s stay unclipped at scale s
+    scale, clipped, passes = t / current, 0, 1
+    under = px <= 255.0 * current / t
+    # k == nonzero only when rounding lifts s past the last piece
+    while clipped < (k := n - int(np.count_nonzero(under))) < nonzero:
+        scale = (t * n - 255.0 * k) / float((px * under).sum())
+        clipped, passes, under = k, passes + 1, px <= 255.0 / scale
+    if scale == math.inf:
+        raise ValueError(f"cannot rescale to mean {t!r}: the scale overflows")
+    result = GrayImage(np.minimum(px * scale, 255.0))
     return BrightnessResult(result, result.mean, passes, False)
 
 
