@@ -178,14 +178,12 @@ def test_evaluate_iou_tie_goes_to_earlier_ground_truth():
 
 # small images where black and white pixels are common, so targets land on
 # clipped pieces, on breakpoints and past the reachable ceiling
-FLOAT_MAX = Fraction(sys.float_info.max)
 gray_images = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
                      elements=st.one_of(st.sampled_from([0.0, 255.0]),
                                         st.floats(0.0, 255.0)))
-
-
 gray_targets = st.one_of(st.floats(0.0, 255.0, exclude_min=True),
-                        st.integers(1, 255).map(float))
+                         st.integers(1, 255).map(float))
+FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 @settings(fixed, max_examples=500)
