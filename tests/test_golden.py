@@ -34,6 +34,7 @@ CASES = {
     "match-verify-3x2": ["match-verify", "--random", "3:2"],
     "match-verify-9x8": ["match-verify", "--random", "9:8"],
     "match-verify-2x4": ["match-verify", "--random", "2:4"],
+    "match-verify-12x3": ["match-verify", "--random", "12:3"],
     "eval-csv": ["eval", "--dets", "{in}/dets.txt", "--gts", "{in}/gt.txt"],
     "eval-json": ["eval", "--dets", "{in}/dets.txt", "--gts", "{in}/gt.txt",
                   "--format", "json"],
