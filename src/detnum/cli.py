@@ -23,6 +23,7 @@ import io
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,9 +34,9 @@ from .fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
                    fold_fusion_block, fusion_block, random_conv_params)
 from .losses import DEFAULT_THETA, loss_gradient, loss_value, singularity_reasons
 from .tensor import FeatureTensor, conv2d, read_tensor_blob, write_blob
-from .transport import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, DEFAULT_TOL,
-                        MatchConfig, build_cost_matrix, exact_injection,
-                        exact_kp, exact_mp, match, round_plan, sinkhorn)
+from .transport import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, DEFAULT_TOL, EXACT_CAP,
+                        Assignment, MatchConfig, build_cost_matrix, exact_injection,
+                        exact_kp, match, round_plan, sinkhorn)
 from . import metrics
 from . import robustness
 
@@ -188,55 +189,42 @@ def _parse_random_size(text: str) -> tuple[int, int]:
     return sizes[0], sizes[-1]
 
 
-def _verify_square(problem, tp) -> tuple[list, dict]:
-    n = problem.n
-    mp = exact_mp(problem)
-    kp = exact_kp(problem)
-    ratio = mp.total_cost / kp.objective if kp.objective > 1e-12 else 1.0
-    pairs = round_plan(tp.plan)
-    rounded_sum = float(sum(problem.cost[i, j] for i, j in pairs))
-    mp_sum = mp.total_cost * n
-    gap = abs(rounded_sum - mp_sum)
-    bound = 1e-6 * n
-    ok = bool(gap <= bound)
-    rows = [
-        ("n", n), ("m", problem.m), ("monge_feasible", True),
-        ("mp", mp.total_cost), ("kp", kp.objective), ("ratio", ratio),
-        ("sinkhorn_objective", tp.objective),
-        ("rounded_cost", rounded_sum / n),
-        ("gap", gap), ("bound", bound),
-        ("sinkhorn_iterations", tp.iterations),
-    ]
-    info = {"mp": mp.total_cost, "kp": kp.objective, "ratio": ratio,
-            "gap": gap, "bound": bound, "passed": ok}
-    return rows, info
+def _exact_sum(cost, pairs) -> Fraction:
+    return sum((Fraction(cost[i, j]) for i, j in pairs), Fraction(0))
 
 
-def _verify_rect(problem, tp) -> tuple[list, dict]:
+def _certificate(problem, tp) -> tuple[list, dict]:
+    """Check the rounded Sinkhorn pairs against the Hungarian optimum.
+
+    Passes iff the rounded pairs' exact (Fraction) cost sum is at most the
+    optimum's, with no tolerance, and on square problems iff also the
+    optimum is at least the Kantorovich LP value (weak duality, within 1e-9).
+    """
     n, m = problem.n, problem.m
-    k = min(n, m)
-    best, hung = exact_injection(problem)
-    gap = abs(best - hung)
-    kp = exact_kp(problem)
-    ok = bool(gap <= 1e-9 * k)
-    rows = [
-        ("n", n), ("m", m), ("monge_feasible", False),
-        ("ratio", 1.0),                     # convention for infeasible Monge
-        ("kp", kp.objective),
-        ("injection_cost", best / k), ("hungarian_cost", hung / k),
-        ("gap", gap),
-        ("unmatched_predictions", max(0, n - m)),
-        ("sinkhorn_objective", tp.objective),
-        ("sinkhorn_iterations", tp.iterations),
-    ]
-    info = {"kp": kp.objective, "ratio": 1.0, "gap": gap,
-            "unmatched_predictions": max(0, n - m), "passed": ok}
+    square = n == m
+    best = exact_injection(problem)
+    rounded = Assignment.from_pairs(problem.cost, round_plan(tp.plan))
+    kp = exact_kp(problem).objective
+    ratio = best.total_cost / kp if square and kp > 1e-12 else 1.0
+    gap = _exact_sum(problem.cost, rounded.pairs) - _exact_sum(problem.cost, best.pairs)
+    info = {"optimum": best.total_cost, "kp": kp, "ratio": ratio,
+            "rounded_cost": rounded.total_cost, "gap": float(gap),
+            "unmatched_predictions": len(rounded.unmatched_predictions)}
+    rows = [("n", n), ("m", m), ("monge_feasible", square), *info.items(),
+            ("sinkhorn_objective", tp.objective),
+            ("sinkhorn_iterations", tp.iterations)]
+    info["passed"] = gap <= 0 and (not square or best.total_cost >= kp - 1e-9)
     return rows, info
 
 
 def cmd_match_verify(args) -> int:
     if args.random is not None:
+        if args.preds or args.gts:
+            raise ValueError("match-verify takes --random or --preds/--gts, not both")
         n, m = _parse_random_size(args.random)
+        if max(n, m) > EXACT_CAP:
+            raise ValueError(f"--random {args.random}: match-verify caps each side "
+                             f"at {EXACT_CAP} boxes, got {n}x{m}")
         rng = np.random.default_rng(args.seed)
         preds, gts = _random_boxes(rng, n), _random_boxes(rng, m)
         source = {"random": f"{n}:{m}"}
@@ -244,16 +232,17 @@ def cmd_match_verify(args) -> int:
         if not (args.preds and args.gts):
             raise ValueError("match-verify needs --preds/--gts or --random N[:M]")
         preds, gts = _load_boxes(args.preds), _load_boxes(args.gts)
+        for flag, path, boxes in (("--preds", args.preds, preds), ("--gts", args.gts, gts)):
+            if len(boxes) > EXACT_CAP:
+                raise ValueError(f"{flag} {_base(path)}: match-verify caps each side "
+                                 f"at {EXACT_CAP} boxes, got {len(boxes)}")
         source = {"preds": _base(args.preds), "gts": _base(args.gts)}
     _config(command="match-verify", **source, epsilon=args.epsilon,
             iters=args.iters, tol=args.tol, cost=args.cost, theta=args.theta,
             seed=args.seed)
     problem = build_cost_matrix(preds, gts, kind=args.cost, theta=args.theta)
     tp = sinkhorn(problem, args.epsilon, args.iters, args.tol, anneal=True)
-    if problem.n == problem.m:
-        rows, info = _verify_square(problem, tp)
-    else:
-        rows, info = _verify_rect(problem, tp)
+    rows, info = _certificate(problem, tp)
     _table("quantity,value", rows)
     _summary(converged=tp.converged, **info)
     return 0 if info["passed"] else 1

@@ -2,9 +2,10 @@
 
 Builds box-to-box cost matrices (1 − IoU by default), solves the
 entropic-regularized Kantorovich problem with a log-domain Sinkhorn-Knopp
-iteration, and provides exact small-instance solvers for the Kantorovich
-LP (`exact_kp`), the Monge assignment (`exact_mp`, Hungarian) and the
-rectangular injection (`exact_injection`, enumeration and Hungarian).
+iteration, and provides exact solvers for the Kantorovich LP
+(`exact_kp`, up to `EXACT_CAP` points per side) and the one-to-one
+assignment (`exact_injection`, Hungarian, any shape; `exact_mp` is its
+square uniform case, the Monge optimum).
 
 The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
 on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
@@ -17,10 +18,8 @@ or finite siou values, so no solver handles forbidden (+inf) entries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -30,7 +29,7 @@ from .boxes import iou as _box_iou, iou_matrix
 from .losses import DEFAULT_THETA, LossBreakdown, loss_value, mks_loss
 
 __all__ = [
-    "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL",
+    "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL", "EXACT_CAP",
     "OTProblem", "TransportPlan", "Assignment", "MatchConfig", "MatchResult",
     "InfeasibleMongeError", "uniform_marginals", "build_cost_matrix",
     "sinkhorn", "exact_kp", "exact_mp", "exact_injection",
@@ -41,9 +40,7 @@ DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-9
 
-_EXACT_CAP = 64     # largest side exact_kp will hand to the LP
-_BRUTE_CAP = 8      # largest smaller side exact_injection will enumerate
-_INJECTION_CAP = 500_000   # most maps exact_injection will enumerate
+EXACT_CAP = 64      # largest side exact_kp will hand to the LP
 
 
 class InfeasibleMongeError(ValueError):
@@ -112,6 +109,16 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
     unmatched_predictions: tuple[int, ...]
     total_cost: float
+
+    @classmethod
+    def from_pairs(cls, cost: np.ndarray, pairs) -> Assignment:
+        """The assignment made of pairs, sorted, and scored on cost: the
+        left-to-right sum of its entries over the number of rows."""
+        pairs = tuple(sorted(pairs))
+        matched = {i for i, _ in pairs}
+        n = cost.shape[0]
+        unmatched = tuple(i for i in range(n) if i not in matched)
+        return cls(pairs, unmatched, float(sum(cost[i, j] for i, j in pairs)) / n)
 
 
 def uniform_marginals(k: int) -> np.ndarray:
@@ -230,8 +237,8 @@ def _marginal_violation(plan: np.ndarray, problem: OTProblem) -> float:
 def exact_kp(problem: OTProblem) -> TransportPlan:
     """Exact Kantorovich optimum by linear programming (desk-scale sizes)."""
     n, m = problem.n, problem.m
-    if n > _EXACT_CAP or m > _EXACT_CAP:
-        raise ValueError(f"exact_kp caps sides at {_EXACT_CAP}, got {n}x{m}")
+    if n > EXACT_CAP or m > EXACT_CAP:
+        raise ValueError(f"exact_kp caps sides at {EXACT_CAP}, got {n}x{m}")
     a_eq = np.zeros((n + m, n * m))
     for i in range(n):
         a_eq[i, i * m:(i + 1) * m] = 1.0
@@ -248,17 +255,9 @@ def exact_kp(problem: OTProblem) -> TransportPlan:
                          True, int(res.nit))
 
 
-@lru_cache(maxsize=None)
-def _perm_table(n: int, k: int) -> np.ndarray:
-    """Every ordered selection of k of range(n), one per row, in
-    lexicographic order."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
-    return frozen_array(np.fromiter(flat, dtype=np.int64).reshape(-1, k), dtype=np.int64)
-
-
 def exact_mp(problem: OTProblem) -> Assignment:
-    """Exact Monge optimum: the minimum-cost permutation, by Hungarian
-    assignment (`linear_sum_assignment`)."""
+    """Exact Monge optimum: `exact_injection` on a problem that has a
+    Monge map (equal cardinalities, uniform marginals)."""
     n, m = problem.n, problem.m
     if n != m:
         raise InfeasibleMongeError(
@@ -266,32 +265,18 @@ def exact_mp(problem: OTProblem) -> Assignment:
     w = 1.0 / n
     if (np.abs(problem.mu - w).max() > 1e-9) or (np.abs(problem.nu - w).max() > 1e-9):
         raise InfeasibleMongeError("Monge map needs uniform marginals on both sides")
-    _, perm = linear_sum_assignment(problem.cost)   # rows come back as 0..n-1
-    pairs = tuple((i, int(perm[i])) for i in range(n))
-    return Assignment(pairs, (), float(problem.cost[np.arange(n), perm].sum()) / n)
+    return exact_injection(problem)
 
 
-def exact_injection(problem: OTProblem) -> tuple[float, float]:
-    """Minimum summed cost of a one-to-one map from the smaller side into
-    the larger, by two independent routes: (enumeration, Hungarian).
+def exact_injection(problem: OTProblem) -> Assignment:
+    """Minimum-cost one-to-one map of min(n, m) pairs, for any shape, by
+    Hungarian assignment (`linear_sum_assignment`).
 
-    Enumeration visits every injection, so it caps the smaller side at 8
-    and the count at 500000 maps. It sums each map's entries left to
-    right, as Python's sum does; the Hungarian route sums with NumPy.
+    Surplus predictions (n > m) are reported unmatched, and total_cost is
+    on the `Assignment` scale, as `match` reports its rounded pairs.
     """
-    n, m = problem.n, problem.m
-    k, big = min(n, m), max(n, m)
-    count = math.perm(big, k)
-    if k > _BRUTE_CAP or count > _INJECTION_CAP:
-        raise ValueError(
-            f"injection oracle supports min side <= {_BRUTE_CAP} and <= {_INJECTION_CAP} "
-            f"maps, got {n}x{m} ({count} maps)")
-    cost = problem.cost if n <= m else problem.cost.T
-    picked = cost[np.arange(k)[None, :], _perm_table(big, k)]
-    # cumsum runs strictly left to right; .sum() would sum pairwise
-    totals = np.cumsum(picked, axis=1, out=picked)[:, -1]
     rows, cols = linear_sum_assignment(problem.cost)
-    return float(totals.min()), float(problem.cost[rows, cols].sum())
+    return Assignment.from_pairs(problem.cost, zip(rows.tolist(), cols.tolist()))
 
 
 def round_plan(plan: np.ndarray) -> list[tuple[int, int]]:
@@ -352,12 +337,8 @@ def match(preds, gts, config: MatchConfig | None = None) -> MatchResult:
     gts = list(gts)
     problem = build_cost_matrix(preds, gts, kind=cfg.cost, theta=cfg.theta)
     tp = sinkhorn(problem, cfg.epsilon, cfg.max_iters, cfg.tol)
-    pairs = sorted(round_plan(tp.plan))
+    assignment = Assignment.from_pairs(problem.cost, round_plan(tp.plan))
     breakdowns = tuple(
         mks_loss(preds[i], gts[j], 1.0 - _box_iou(preds[i], gts[j]), theta=cfg.theta)
-        for i, j in pairs)
-    matched_rows = {i for i, _ in pairs}
-    unmatched = tuple(i for i in range(len(preds)) if i not in matched_rows)
-    total = float(sum(problem.cost[i, j] for i, j in pairs)) / len(preds)
-    assignment = Assignment(tuple(pairs), unmatched, total)
+        for i, j in assignment.pairs)
     return MatchResult(assignment, breakdowns, tp)

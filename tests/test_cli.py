@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import detnum
+from detnum import cli
 from detnum.cli import main
 from detnum.tensor import read_blob, write_blob
 
@@ -141,8 +142,9 @@ def test_match_verify_square_random(capsys):
     assert code == 0
     s = summary_of(out)
     assert s["passed"] is True
-    assert s["gap"] <= s["bound"]
-    assert s["mp"] >= s["kp"] - 1e-9
+    assert s["gap"] == 0
+    assert s["rounded_cost"] == s["optimum"]
+    assert s["optimum"] >= s["kp"] - 1e-9
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "3:0", "2:x", "2:3:4"])
@@ -154,13 +156,27 @@ def test_match_verify_random_size_errors_name_the_flag(capsys, value):
     assert repr(value) in err
 
 
-def test_match_verify_rectangular_random(capsys):
-    code, out, _ = run(capsys, "match-verify", "--random", "3:2")
-    assert code == 0
+@pytest.mark.parametrize("size", ["3:2", "9:10"])
+def test_match_verify_rectangular_random(capsys, size):
+    # 9:10 is past the reach of an injection enumeration; the certificate
+    # is Hungarian on every shape
+    code, out, _ = run(capsys, "match-verify", "--random", size)
+    n, m = map(int, size.split(":"))
     s = summary_of(out)
     assert s["ratio"] == 1.0
-    assert s["unmatched_predictions"] == 1
-    assert s["passed"] is True
+    assert s["unmatched_predictions"] == max(0, n - m)
+    assert s["passed"] is (s["gap"] <= 0)
+    assert s["passed"] is (code == 0)
+
+
+def test_match_verify_checks_sizes_before_solving(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solved an instance past the size cap")
+    monkeypatch.setattr(cli, "build_cost_matrix", fail)
+    monkeypatch.setattr(cli, "sinkhorn", fail)
+    code, out, err = run(capsys, "match-verify", "--random", "65")
+    assert (code, out) == (1, "")
+    assert "--random 65: match-verify caps each side at 64 boxes, got 65x65" in err
 
 
 def test_match_verify_needs_input(capsys):
@@ -433,6 +449,12 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
     (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"], "epsilon must be > 0"),
     (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "nan"],
      "epsilon must be > 0 and finite, got nan"),
+    (["match-verify", "--random", "2:65"],
+     "--random 2:65: match-verify caps each side at 64 boxes, got 2x65"),
+    (["match-verify", "--preds", "{many}", "--gts", "{gts}"],
+     "--preds many.txt: match-verify caps each side at 64 boxes, got 65"),
+    (["match-verify", "--random", "3", "--preds", "{preds}", "--gts", "{gts}"],
+     "match-verify takes --random or --preds/--gts, not both"),
     (["eval", "--dets", "{dets}", "--gts", "{gt}", "--iou-thresh", "1.5"],
      "iou_threshold must lie in (0, 1)"),
     (["attn-demo", "--reduction", "-1"], "reduction_ratio must be >= 1, got -1"),
@@ -467,7 +489,8 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
     (["sweep", "--mode", "noise", "--range", "0:1e-9:1e-10", "--fine-step", "1e-13",
       "--profile", "0:5.5e-10:1"],
      "--fine-step 1e-13 is too small to tell levels apart near 1e-09: it must be at least 1e-12"),
-], ids=["loss-compare", "match", "match-epsilon-nan", "eval", "attn-demo", "sweep",
+], ids=["loss-compare", "match", "match-epsilon-nan", "match-verify-random-65",
+        "match-verify-preds-65", "match-verify-random-and-files", "eval", "attn-demo", "sweep",
         "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative",
         "gradcheck-tol-nan", "fuse-check-tol-nan", "fuse-check-tol-negative",
         "sweep-fine-step-nan", "sweep-range-step-nan", "sweep-range-hi-nan",
@@ -477,8 +500,11 @@ def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, 
                                                   eval_files, argv, message):
     outcomes = tmp_path / "outcomes.txt"
     outcomes.write_text("0 fail\n10 clean\n")
+    many = tmp_path / "many.txt"
+    many.write_text("".join(f"im0 0 {k} 0 1 1\n" for k in range(65)))
     files = {"pairs": pairs_file, "preds": match_files[0], "gts": match_files[1],
-             "dets": eval_files[0], "gt": eval_files[1], "outcomes": str(outcomes)}
+             "dets": eval_files[0], "gt": eval_files[1], "outcomes": str(outcomes),
+             "many": str(many)}
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 1
     assert out == ""
