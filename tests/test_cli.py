@@ -12,6 +12,9 @@ import detnum
 from detnum import cli
 from detnum.cli import main
 from detnum.tensor import read_blob, write_blob
+from detnum.transport import build_cost_matrix, round_plan, sinkhorn
+
+from helpers import brute_assignment, brute_injection
 
 
 def run(capsys, *argv):
@@ -147,6 +150,19 @@ def test_match_verify_square_random(capsys):
     assert s["optimum"] >= s["kp"] - 1e-9
 
 
+def test_match_verify_fails_a_rounding_short_of_the_optimum_by_any_gap(capsys):
+    # seed 9 rounds to an assignment 8e-4 worse than the optimum in summed
+    # cost: no tolerance lets it through
+    code, out, _ = run(capsys, "match-verify", "--random", "8", "--seed", "9")
+    s = summary_of(out)
+    assert (code, s["passed"]) == (1, False)
+    assert 0 < s["gap"] < 1e-3
+    rng = np.random.default_rng(9)
+    problem = build_cost_matrix(cli._random_boxes(rng, 8), cli._random_boxes(rng, 8))
+    perm, _ = brute_assignment(problem.cost)
+    assert s["optimum"] == float(sum(problem.cost[i, j] for i, j in enumerate(perm))) / 8
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "3:0", "2:x", "2:3:4"])
 def test_match_verify_random_size_errors_name_the_flag(capsys, value):
     code, out, err = run(capsys, "match-verify", "--random", value)
@@ -167,6 +183,26 @@ def test_match_verify_rectangular_random(capsys, size):
     assert s["unmatched_predictions"] == max(0, n - m)
     assert s["passed"] is (s["gap"] <= 0)
     assert s["passed"] is (code == 0)
+
+
+def test_match_verify_rectangular_verdict_is_the_brute_oracle(capsys):
+    # passed iff the rounded Sinkhorn pairs reach the enumerated optimum
+    # exactly; the sample holds instances of both verdicts
+    verdicts = set()
+    for n, m in ((2, 6), (6, 2), (5, 7), (7, 4)):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            problem = build_cost_matrix(cli._random_boxes(rng, n), cli._random_boxes(rng, m))
+            rounded = round_plan(sinkhorn(problem, anneal=True).plan)
+            best, _ = brute_injection(problem.cost)
+            optimal = (sum(Fraction(problem.cost[i, j]) for i, j in rounded)
+                       == sum(Fraction(problem.cost[i, j]) for i, j in best.items()))
+            code, out, _ = run(capsys, "match-verify", "--random", f"{n}:{m}",
+                               "--seed", str(seed))
+            assert summary_of(out)["passed"] is optimal, (n, m, seed)
+            assert code == (0 if optimal else 1), (n, m, seed)
+            verdicts.add(optimal)
+    assert verdicts == {True, False}
 
 
 def test_match_verify_checks_sizes_before_solving(capsys, monkeypatch):
