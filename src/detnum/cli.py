@@ -197,8 +197,8 @@ def _certificate(problem, tp) -> tuple[list, dict]:
     """Check the rounded Sinkhorn pairs against the Hungarian optimum.
 
     Passes iff the rounded pairs' exact (Fraction) cost sum is at most the
-    optimum's, with no tolerance, and on square problems iff also the
-    optimum is at least the Kantorovich LP value (weak duality, within 1e-9).
+    optimum's, with no tolerance, and, on square problems, the optimum is
+    at least the Kantorovich LP value less 1e-9 (weak duality).
     """
     n, m = problem.n, problem.m
     square = n == m
