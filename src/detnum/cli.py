@@ -23,7 +23,6 @@ import io
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,8 +34,7 @@ from .fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
 from .losses import DEFAULT_THETA, loss_gradient, loss_value, singularity_reasons
 from .tensor import FeatureTensor, conv2d, read_tensor_blob, write_blob
 from .transport import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, DEFAULT_TOL, EXACT_CAP,
-                        Assignment, MatchConfig, build_cost_matrix, exact_injection,
-                        exact_kp, match, round_plan, sinkhorn)
+                        MatchConfig, certify, match)
 from . import metrics
 from . import robustness
 
@@ -150,11 +148,15 @@ def cmd_loss_compare(args) -> int:
 # match / match-verify
 # ---------------------------------------------------------------------------
 
+def _match_config(args) -> MatchConfig:
+    return MatchConfig(epsilon=args.epsilon, max_iters=args.iters, tol=args.tol,
+                       cost=args.cost, theta=args.theta)
+
+
 def cmd_match(args) -> int:
     preds = _load_boxes(args.preds)
     gts = _load_boxes(args.gts)
-    cfg = MatchConfig(epsilon=args.epsilon, max_iters=args.iters, tol=args.tol,
-                      cost=args.cost, theta=args.theta)
+    cfg = _match_config(args)
     _config(command="match", preds=_base(args.preds), gts=_base(args.gts),
             epsilon=cfg.epsilon, iters=cfg.max_iters, tol=cfg.tol,
             cost=cfg.cost, theta=cfg.theta, seed=args.seed)
@@ -189,34 +191,6 @@ def _parse_random_size(text: str) -> tuple[int, int]:
     return sizes[0], sizes[-1]
 
 
-def _exact_sum(cost, pairs) -> Fraction:
-    return sum((Fraction(cost[i, j]) for i, j in pairs), Fraction(0))
-
-
-def _certificate(problem, tp) -> tuple[list, dict]:
-    """Check the rounded Sinkhorn pairs against the Hungarian optimum.
-
-    Passes iff the rounded pairs' exact (Fraction) cost sum is at most the
-    optimum's, with no tolerance, and, on square problems, the optimum is
-    at least the Kantorovich LP value less 1e-9 (weak duality).
-    """
-    n, m = problem.n, problem.m
-    square = n == m
-    best = exact_injection(problem)
-    rounded = Assignment.from_pairs(problem.cost, round_plan(tp.plan))
-    kp = exact_kp(problem).objective
-    ratio = best.total_cost / kp if square and kp > 1e-12 else 1.0
-    gap = _exact_sum(problem.cost, rounded.pairs) - _exact_sum(problem.cost, best.pairs)
-    info = {"optimum": best.total_cost, "kp": kp, "ratio": ratio,
-            "rounded_cost": rounded.total_cost, "gap": float(gap),
-            "unmatched_predictions": len(rounded.unmatched_predictions)}
-    rows = [("n", n), ("m", m), ("monge_feasible", square), *info.items(),
-            ("sinkhorn_objective", tp.objective),
-            ("sinkhorn_iterations", tp.iterations)]
-    info["passed"] = gap <= 0 and (not square or best.total_cost >= kp - 1e-9)
-    return rows, info
-
-
 def cmd_match_verify(args) -> int:
     if args.random is not None:
         if args.preds or args.gts:
@@ -240,12 +214,16 @@ def cmd_match_verify(args) -> int:
     _config(command="match-verify", **source, epsilon=args.epsilon,
             iters=args.iters, tol=args.tol, cost=args.cost, theta=args.theta,
             seed=args.seed)
-    problem = build_cost_matrix(preds, gts, kind=args.cost, theta=args.theta)
-    tp = sinkhorn(problem, args.epsilon, args.iters, args.tol, anneal=True)
-    rows, info = _certificate(problem, tp)
-    _table("quantity,value", rows)
-    _summary(converged=tp.converged, **info)
-    return 0 if info["passed"] else 1
+    res = match(preds, gts, _match_config(args))
+    info = certify(res.problem, res.assignment)
+    passed = info.pop("passed")
+    info["unmatched_predictions"] = len(res.assignment.unmatched_predictions)
+    n, m = res.problem.n, res.problem.m
+    _table("quantity,value", [("n", n), ("m", m), ("monge_feasible", n == m), *info.items(),
+                              ("sinkhorn_objective", res.plan.objective),
+                              ("sinkhorn_iterations", res.plan.iterations)])
+    _summary(converged=res.plan.converged, passed=passed, **info)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

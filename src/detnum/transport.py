@@ -4,8 +4,9 @@ Builds box-to-box cost matrices (1 − IoU by default), solves the
 entropic-regularized Kantorovich problem with a log-domain Sinkhorn-Knopp
 iteration, and provides exact solvers for the Kantorovich LP
 (`exact_kp`, up to `EXACT_CAP` points per side) and the one-to-one
-assignment (`exact_injection`, Hungarian, any shape; `exact_mp` is its
-square uniform case, the Monge optimum).
+assignment (`exact_injection`, Hungarian, any shape; on square uniform
+problems it is the Monge optimum). `certify` checks the assignment that
+`match` rounds against those two optima.
 
 The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
 on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -31,9 +33,8 @@ from .losses import DEFAULT_THETA, LossBreakdown, loss_value, mks_loss
 __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL", "EXACT_CAP",
     "OTProblem", "TransportPlan", "Assignment", "MatchConfig", "MatchResult",
-    "InfeasibleMongeError", "uniform_marginals", "build_cost_matrix",
-    "sinkhorn", "exact_kp", "exact_mp", "exact_injection",
-    "round_plan", "match",
+    "uniform_marginals", "build_cost_matrix",
+    "sinkhorn", "exact_kp", "exact_injection", "round_plan", "match", "certify",
 ]
 
 DEFAULT_EPSILON = 0.01
@@ -41,10 +42,6 @@ DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-9
 
 EXACT_CAP = 64      # largest side exact_kp will hand to the LP
-
-
-class InfeasibleMongeError(ValueError):
-    """Raised when no Monge map exists (n != m or non-uniform marginals)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +173,9 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     the target epsilon. The fixed point is unchanged — annealing only
     shortens the approach, which matters when epsilon is small enough to
     make the plan nearly a permutation. max_iters then bounds the final
-    stage; reported iterations count every sweep including warm-up.
+    stage; reported iterations count every sweep including warm-up. No
+    command anneals: `match` and `match-verify` both run the plain
+    iteration.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
@@ -255,25 +254,14 @@ def exact_kp(problem: OTProblem) -> TransportPlan:
                          True, int(res.nit))
 
 
-def exact_mp(problem: OTProblem) -> Assignment:
-    """Exact Monge optimum: `exact_injection` on a problem that has a
-    Monge map (equal cardinalities, uniform marginals)."""
-    n, m = problem.n, problem.m
-    if n != m:
-        raise InfeasibleMongeError(
-            f"Monge map needs equal cardinalities, got {n} predictions vs {m} gts")
-    w = 1.0 / n
-    if (np.abs(problem.mu - w).max() > 1e-9) or (np.abs(problem.nu - w).max() > 1e-9):
-        raise InfeasibleMongeError("Monge map needs uniform marginals on both sides")
-    return exact_injection(problem)
-
-
 def exact_injection(problem: OTProblem) -> Assignment:
     """Minimum-cost one-to-one map of min(n, m) pairs, for any shape, by
     Hungarian assignment (`linear_sum_assignment`).
 
     Surplus predictions (n > m) are reported unmatched, and total_cost is
-    on the `Assignment` scale, as `match` reports its rounded pairs.
+    on the `Assignment` scale, as `match` reports its rounded pairs. On a
+    square uniform problem this is the Monge optimum, and `certify` holds
+    `match`'s pairs against it.
     """
     rows, cols = linear_sum_assignment(problem.cost)
     return Assignment.from_pairs(problem.cost, zip(rows.tolist(), cols.tolist()))
@@ -315,12 +303,14 @@ class MatchConfig:
 
 @dataclass(frozen=True, eq=False)
 class MatchResult:
-    """Assignment plus per-pair loss breakdowns (parallel to pairs) and the
-    underlying plan, whose converged flag propagates solver status."""
+    """Assignment plus per-pair loss breakdowns (parallel to pairs), the
+    underlying plan, whose converged flag propagates solver status, and the
+    problem it solved."""
 
     assignment: Assignment
     breakdowns: tuple[LossBreakdown, ...]
     plan: TransportPlan
+    problem: OTProblem
 
 
 def match(preds, gts, config: MatchConfig | None = None) -> MatchResult:
@@ -330,7 +320,8 @@ def match(preds, gts, config: MatchConfig | None = None) -> MatchResult:
     min(n, m) pairs; surplus predictions are reported unmatched. Each
     matched pair is scored with mks_loss under the collapsed negative-IoU
     convention (ratio = 1: exact on square uniform problems, by definition
-    when the Monge side is infeasible).
+    when the Monge side is infeasible). `certify(res.problem,
+    res.assignment)` checks the rounded pairs against the exact optimum.
     """
     cfg = config or MatchConfig()
     preds = list(preds)
@@ -341,4 +332,29 @@ def match(preds, gts, config: MatchConfig | None = None) -> MatchResult:
     breakdowns = tuple(
         mks_loss(preds[i], gts[j], 1.0 - _box_iou(preds[i], gts[j]), theta=cfg.theta)
         for i, j in assignment.pairs)
-    return MatchResult(assignment, breakdowns, tp)
+    return MatchResult(assignment, breakdowns, tp, problem)
+
+
+def _exact_sum(cost: np.ndarray, pairs) -> Fraction:
+    return sum((Fraction(cost[i, j]) for i, j in pairs), Fraction(0))
+
+
+def certify(problem: OTProblem, assignment: Assignment) -> dict:
+    """Check an assignment against the Hungarian optimum of problem.
+
+    Returns `optimum` (the Hungarian total_cost), `kp` (the Kantorovich LP
+    value, whose sides are capped at `EXACT_CAP`), `ratio` (optimum/kp on
+    square problems, 1.0 otherwise), `rounded_cost` (the assignment's
+    total_cost), `gap` (the assignment's summed cost less the optimum's,
+    computed in Fraction) and `passed`: the gap is at most 0, with no
+    tolerance, and, on square problems, the optimum is at least kp less
+    1e-9 (weak duality).
+    """
+    square = problem.n == problem.m
+    best = exact_injection(problem)
+    kp = exact_kp(problem).objective
+    ratio = best.total_cost / kp if square and kp > 1e-12 else 1.0
+    gap = _exact_sum(problem.cost, assignment.pairs) - _exact_sum(problem.cost, best.pairs)
+    passed = gap <= 0 and (not square or best.total_cost >= kp - 1e-9)
+    return {"optimum": best.total_cost, "kp": kp, "ratio": ratio,
+            "rounded_cost": assignment.total_cost, "gap": float(gap), "passed": passed}

@@ -25,7 +25,7 @@ from detnum.metrics import DetectionRecord, evaluate
 from detnum.robustness import (GrayImage, SweepConfig, add_gaussian_noise,
                                psnr, read_pgm, sweep, synthetic_gray)
 from detnum.tensor import FeatureTensor, conv2d
-from detnum.transport import (OTProblem, exact_kp, exact_mp, round_plan,
+from detnum.transport import (OTProblem, exact_injection, exact_kp, round_plan,
                               sinkhorn, uniform_marginals)
 
 from helpers import eval_brute, fd_grad, parallel_attention, rand_box, rel_err
@@ -83,7 +83,7 @@ def test_criterion_2_monge_kantorovich_ratio_is_one():
         n = int(rng.integers(2, 7))
         prob = OTProblem(rng.random((n, n)), uniform_marginals(n),
                          uniform_marginals(n))
-        mp, kp = exact_mp(prob), exact_kp(prob)
+        mp, kp = exact_injection(prob), exact_kp(prob)
         dev = abs(mp.total_cost / kp.objective - 1.0) if kp.objective > 1e-12 else 0.0
         cnt, mx = per_n.get(n, (0, 0.0))
         per_n[n] = (cnt + 1, max(mx, dev))

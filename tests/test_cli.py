@@ -12,7 +12,7 @@ import detnum
 from detnum import cli
 from detnum.cli import main
 from detnum.tensor import read_blob, write_blob
-from detnum.transport import build_cost_matrix, round_plan, sinkhorn
+from detnum.transport import build_cost_matrix, match
 
 from helpers import brute_assignment, brute_injection
 
@@ -186,14 +186,14 @@ def test_match_verify_rectangular_random(capsys, size):
 
 
 def test_match_verify_rectangular_verdict_is_the_brute_oracle(capsys):
-    # passed iff the rounded Sinkhorn pairs reach the enumerated optimum
+    # passed iff the pairs `match` rounds reach the enumerated optimum
     # exactly; the sample holds instances of both verdicts
     verdicts = set()
     for n, m in ((2, 6), (6, 2), (5, 7), (7, 4)):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            problem = build_cost_matrix(cli._random_boxes(rng, n), cli._random_boxes(rng, m))
-            rounded = round_plan(sinkhorn(problem, anneal=True).plan)
+            res = match(cli._random_boxes(rng, n), cli._random_boxes(rng, m))
+            problem, rounded = res.problem, res.assignment.pairs
             best, _ = brute_injection(problem.cost)
             optimal = (sum(Fraction(problem.cost[i, j]) for i, j in rounded)
                        == sum(Fraction(problem.cost[i, j]) for i, j in best.items()))
@@ -205,11 +205,33 @@ def test_match_verify_rectangular_verdict_is_the_brute_oracle(capsys):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("n, m, seed", [
+    (4, 4, 4), (7, 7, 4), (6, 6, 3), (7, 7, 3), (5, 5, 0),
+    (8, 1, 1), (7, 1, 4), (8, 1, 4), (2, 6, 0), (6, 2, 3), (3, 5, 1),
+])
+def test_match_verify_certifies_the_assignment_match_prints(capsys, n, m, seed):
+    # square (4,4) and (7,4) round short of the optimum, (6,3) and (7,3)
+    # round to a different optimal tie under annealing, and the three n:1
+    # cases round to other pairs under annealing
+    code, out, _ = run(capsys, "match-verify", "--random", f"{n}:{m}", "--seed", str(seed))
+    s = summary_of(out)
+    rng = np.random.default_rng(seed)
+    res = match(cli._random_boxes(rng, n), cli._random_boxes(rng, m))
+    assert s["rounded_cost"] == res.assignment.total_cost
+    best, _ = brute_injection(res.problem.cost)
+    optimal = (sum(Fraction(res.problem.cost[i, j]) for i, j in res.assignment.pairs)
+               == sum(Fraction(res.problem.cost[i, j]) for i, j in best.items()))
+    assert s["passed"] is optimal
+    assert code == (0 if optimal else 1)
+    if (n, m, seed) == (8, 1, 1):
+        # annealing rounds this one to the optimum; `match` does not
+        assert (code, s["gap"]) == (1, 0.19865490188815593)
+
+
 def test_match_verify_checks_sizes_before_solving(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("solved an instance past the size cap")
-    monkeypatch.setattr(cli, "build_cost_matrix", fail)
-    monkeypatch.setattr(cli, "sinkhorn", fail)
+    monkeypatch.setattr(cli, "match", fail)
     code, out, err = run(capsys, "match-verify", "--random", "65")
     assert (code, out) == (1, "")
     assert "--random 65: match-verify caps each side at 64 boxes, got 65x65" in err

@@ -6,12 +6,10 @@ import pytest
 from detnum.boxes import AABox, iou
 from detnum.transport import (
     Assignment,
-    InfeasibleMongeError,
     OTProblem,
     build_cost_matrix,
     exact_injection,
     exact_kp,
-    exact_mp,
     match,
     round_plan,
     sinkhorn,
@@ -195,7 +193,7 @@ def test_exact_kp_square_uniform_matches_permutation_oracle():
 
 def test_exact_mp_identity_on_diagonal_costs():
     cost = np.ones((3, 3)) - np.eye(3)
-    a = exact_mp(uniform_problem(cost))
+    a = exact_injection(uniform_problem(cost))
     assert a.pairs == ((0, 0), (1, 1), (2, 2))
     assert a.total_cost == pytest.approx(0.0, abs=1e-15)
     assert a.unmatched_predictions == ()
@@ -206,7 +204,7 @@ def test_exact_mp_matches_brute_oracle():
     for _ in range(20):
         p = rand_problem(rng, 6)
         perm, best = brute_assignment(p.cost)
-        a = exact_mp(p)
+        a = exact_injection(p)
         assert a.total_cost == pytest.approx(best, abs=1e-12)
         assert tuple(j for _, j in a.pairs) == perm
 
@@ -217,14 +215,7 @@ def test_exact_mp_brute_and_hungarian_agree():
     for _ in range(10):
         p = rand_problem(rng, 7)
         _, best = brute_assignment(p.cost)
-        assert exact_mp(p).total_cost == pytest.approx(best, abs=1e-12)
-
-
-def test_exact_mp_infeasible_cases():
-    with pytest.raises(InfeasibleMongeError):
-        exact_mp(uniform_problem(np.zeros((2, 3))))
-    with pytest.raises(InfeasibleMongeError):
-        exact_mp(OTProblem(np.zeros((2, 2)), [0.7, 0.3], [0.5, 0.5]))
+        assert exact_injection(p).total_cost == pytest.approx(best, abs=1e-12)
 
 
 def test_exact_injection_matches_brute_oracle_bitwise():
@@ -248,7 +239,7 @@ def test_monge_at_least_kantorovich():
     rng = np.random.default_rng(89)
     for _ in range(50):
         p = rand_problem(rng, int(rng.integers(2, 7)))
-        mp = exact_mp(p).total_cost
+        mp = exact_injection(p).total_cost
         kp = exact_kp(p).objective
         assert mp >= kp - 1e-9
         # equal-size uniform marginals: Birkhoff collapses the two optima
@@ -282,7 +273,7 @@ def test_rounded_sinkhorn_recovers_exact_monge():
         tp = sinkhorn(p, epsilon=1e-4, max_iters=800, tol=1e-6, anneal=True)
         rounded = sorted(round_plan(tp.plan))
         cost = float(sum(p.cost[i, j] for i, j in rounded)) / n
-        assert cost - exact_mp(p).total_cost <= 1e-6 * n
+        assert cost - exact_injection(p).total_cost <= 1e-6 * n
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ def test_match_two_clean_pairs_diagonal():
     assert res.assignment.pairs == ((0, 0), (1, 1))
     problem = build_cost_matrix(preds, gts)
     assert res.assignment.total_cost == pytest.approx(
-        exact_mp(problem).total_cost, abs=1e-6)
+        exact_injection(problem).total_cost, abs=1e-6)
 
 
 def test_match_surplus_prediction_reported_unmatched():
