@@ -30,6 +30,8 @@ CASES = {
                    "--format", "json"],
     "match-siou": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt",
                    "--cost", "siou"],
+    "match-eps-0.005": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt",
+                        "--epsilon", "0.005"],
     "match-verify-5": ["match-verify", "--random", "5"],
     "match-verify-3x2": ["match-verify", "--random", "3:2"],
     "match-verify-9x8": ["match-verify", "--random", "9:8"],
