@@ -138,6 +138,9 @@ class FusionBlockParams:
         for name, conv, bn in (("A", self.conv_a, self.bn_a), ("B", self.conv_b, self.bn_b)):
             if bn is not None and bn.channels != conv.out_channels:
                 raise ValueError(f"branch {name} BN channels must match its conv output")
+        if self.conv_a.in_channels != self.conv_b.in_channels:
+            raise ValueError("branch convs must take equal halves of the channels, got "
+                             f"{self.conv_a.in_channels} and {self.conv_b.in_channels}")
         if self.merge.in_channels != self.conv_a.out_channels + self.conv_b.out_channels:
             raise ValueError("merge conv input must equal the concatenated branch outputs")
         if self.merge.kernel != (1, 1) or self.merge.stride != (1, 1) or self.merge.padding != (0, 0):
@@ -174,8 +177,6 @@ def _branch(x: FeatureTensor, conv: Conv2DParams, bn: BNParams | None) -> Featur
 def fusion_block(x: FeatureTensor, params: FusionBlockParams) -> FeatureTensor:
     """split → per-branch conv (+BN where the slot holds one) → concat → 1x1 merge."""
     c = x.shape[1]
-    if c % 2:
-        raise ValueError(f"fusion block needs an even channel count, got {c}")
     ca, cb = params.conv_a.in_channels, params.conv_b.in_channels
     if ca + cb != c:
         raise ValueError(f"params expect {ca + cb} input channels, tensor has {c}")

@@ -92,34 +92,40 @@ def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResul
     is (s·S + 255·k)/N, solved by s = (t·N − 255·k)/S; by concavity this
     never passes the root, so the clipped set grows until it stops on the
     target's piece. Targets at or above 255 × (share of nonzero pixels) set
-    every nonzero pixel to 255. A zero-mean image falls back to an additive
+    every nonzero pixel to 255. An all-zero image falls back to an additive
     constant (flagged); a scale that overflows a float is refused.
     """
     t = float(target_gray)
     if not (0.0 <= t <= 255.0):
         raise ValueError(f"target_gray must lie in [0, 255], got {t!r}")
     px, current = img.pixels, img.mean
-    if current <= 0.0:
+    n, nonzero = px.size, np.count_nonzero(px > 0.0)
+    if nonzero == 0:
         if t <= 0.0:
             return BrightnessResult(img, 0.0, 0, False)
         flat = GrayImage(np.full_like(px, t))
         return BrightnessResult(flat, flat.mean, 0, True)
     if t <= 0.0:
         return BrightnessResult(GrayImage(np.zeros_like(px)), 0.0, 1, False)
-    n, nonzero = px.size, np.count_nonzero(px > 0.0)
     if t * n >= 255.0 * nonzero:
         result = GrayImage(np.where(px > 0.0, 255.0, 0.0))
         return BrightnessResult(result, result.mean, 1, False)
+    if current > 0.0:
+        scale, limit = t / current, 255.0 * current / t
+    else:  # subnormal pixels: the mean underflows to 0, their sum does not
+        scale = t * n / float(px.sum())
+        limit = 255.0 / scale
     # pixels at or below 255 / s stay unclipped at scale s
-    scale, clipped, passes = t / current, 0, 1
-    under = px <= 255.0 * current / t
+    clipped, passes, under = 0, 1, px <= limit
     # k == nonzero only when rounding lifts s past the last piece
     while clipped < (k := n - int(np.count_nonzero(under))) < nonzero:
         scale = (t * n - 255.0 * k) / float((px * under).sum())
         clipped, passes, under = k, passes + 1, px <= 255.0 / scale
     if scale == math.inf:
         raise ValueError(f"cannot rescale to mean {t!r}: the scale overflows")
-    result = GrayImage(np.minimum(px * scale, 255.0))
+    # a pixel far above 255 / scale may overflow to inf before it clips
+    with np.errstate(over="ignore"):
+        result = GrayImage(np.minimum(px * scale, 255.0))
     return BrightnessResult(result, result.mean, passes, False)
 
 
@@ -370,10 +376,9 @@ def read_pgm(path) -> GrayImage:
     if len(data) != width * height:
         raise ValueError(f"{path}: expected {width * height} pixel bytes, got {len(data)}")
     px = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    if maxval == 255:
-        return GrayImage(px.astype(np.float64))
     top = int(px.max())
     if top > maxval:
         raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
-    # integer products are exact, so maxval itself maps to exactly 255.0
+    # integer products are exact, so maxval itself maps to exactly 255.0,
+    # and at maxval 255 every byte maps to itself
     return GrayImage(px * 255.0 / maxval)

@@ -2,11 +2,12 @@
 
 Builds box-to-box cost matrices (1 − IoU by default), solves the
 entropic-regularized Kantorovich problem with a log-domain Sinkhorn-Knopp
-iteration, and provides exact solvers for the Kantorovich LP
-(`exact_kp`, up to `EXACT_CAP` points per side) and the one-to-one
-assignment (`exact_injection`, Hungarian, any shape; on square uniform
-problems it is the Monge optimum). `certify` checks the assignment that
-`match` rounds against those two optima.
+iteration (warm-started by epsilon scaling below `DEFAULT_EPSILON`), and
+provides exact solvers for the Kantorovich LP (`exact_kp`, up to
+`EXACT_CAP` points per side) and the one-to-one assignment
+(`exact_injection`, Hungarian, any shape; on square uniform problems it is
+the Monge optimum). `certify` checks the assignment that `match` rounds
+against those two optima.
 
 The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
 on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
@@ -152,30 +153,26 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out + np.squeeze(amax, axis=axis)
 
 
-_ANNEAL_EPS_START = 0.3
 _ANNEAL_EPS_FACTOR = 3.0
 _ANNEAL_STAGE_ITERS = 25
 
 
 def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
-             max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
-             *, anneal: bool = False) -> TransportPlan:
+             max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL) -> TransportPlan:
     """Entropic-regularized plan by log-domain Sinkhorn-Knopp scaling.
 
     Costs are rescaled by their largest absolute entry before
-    exponentiation so epsilon always acts on a [0, 1]-scale matrix. Stops
-    when the worst row/column marginal deviation drops below tol or after
-    max_iters; non-convergence is reported through the converged flag, not
-    raised.
+    exponentiation so epsilon always acts on a [0, 1]-scale matrix. Each
+    sweep updates v, then u, after which the rows sum to mu; a stage stops
+    when the worst column deviation, read off the sums the next v-update
+    reuses, drops below tol. Non-convergence is reported through the
+    converged flag, not raised.
 
-    anneal=True warm-starts the potentials through a decreasing epsilon
-    schedule (0.3 → epsilon, factor 3, 25 sweeps each) before iterating at
-    the target epsilon. The fixed point is unchanged — annealing only
-    shortens the approach, which matters when epsilon is small enough to
-    make the plan nearly a permutation. max_iters then bounds the final
-    stage; reported iterations count every sweep including warm-up. No
-    command anneals: `match` and `match-verify` both run the plain
-    iteration.
+    Below DEFAULT_EPSILON the potentials are warm-started by epsilon
+    scaling through epsilon·3^k, …, 3·epsilon (from the first at or above
+    DEFAULT_EPSILON down), 25 sweeps at most each; the fixed point is
+    unchanged. max_iters bounds the final stage; iterations count every
+    sweep, warm-up included.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
@@ -188,43 +185,37 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     norm_cost = cost / scale
 
     stages = [epsilon]
-    if anneal:
-        e = _ANNEAL_EPS_START
-        head = []
-        while e > epsilon * (1.0 + 1e-12):
-            head.append(e)
-            e /= _ANNEAL_EPS_FACTOR
-        stages = head + [epsilon]
+    while stages[0] < DEFAULT_EPSILON:
+        stages.insert(0, stages[0] * _ANNEAL_EPS_FACTOR)
 
     with np.errstate(divide="ignore"):
         log_mu = np.log(problem.mu)
         log_nu = np.log(problem.nu)
     u = np.zeros(problem.n)
-    v = np.zeros(problem.m)
     converged = False
     iterations = 0
     for si, eps_k in enumerate(stages):
         mr = norm_cost / -eps_k
         final = si == len(stages) - 1
-        budget = max_iters if final else _ANNEAL_STAGE_ITERS
-        for k in range(1, budget + 1):
-            v = log_nu - _logsumexp(mr + u[:, None], axis=0)
+        lse_c = _logsumexp(mr + u[:, None], axis=0)
+        for _ in range(max_iters if final else _ANNEAL_STAGE_ITERS):
+            v = log_nu - lse_c
             u = log_mu - _logsumexp(mr + v[None, :], axis=1)
+            lse_c = _logsumexp(mr + u[:, None], axis=0)
             iterations += 1
-            # the marginal check costs as much as a sweep, so the annealed
-            # path only looks every 10th sweep
-            if final and (not anneal or k % 10 == 0 or k == budget):
-                plan = np.exp(mr + u[:, None] + v[None, :])
-                violation = _marginal_violation(plan, problem)
-                if violation < tol:
-                    converged = True
-                    break
+            if np.abs(np.exp(v + lse_c) - problem.nu).max() < tol:
+                converged = final
+                break
         if not final:
-            # keep the dual potentials eps_k * u fixed across the switch
+            # keep the dual potential eps_k * u fixed across the switch
             u *= eps_k / stages[si + 1]
-            v *= eps_k / stages[si + 1]
+    plan = np.exp(mr + u[:, None] + v[None, :])
     objective = float((plan * cost).sum())
-    return TransportPlan(plan, objective, violation, converged, iterations)
+    # the stop test reads the columns before exponentiation; rounding can
+    # leave the plan itself a hair past tol, and then it has not converged
+    violation = _marginal_violation(plan, problem)
+    return TransportPlan(plan, objective, violation, converged and violation < tol,
+                         iterations)
 
 
 def _marginal_violation(plan: np.ndarray, problem: OTProblem) -> float:

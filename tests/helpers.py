@@ -8,6 +8,7 @@ checked against arithmetic that shares none of its code paths.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,36 @@ def brute_injection(cost: np.ndarray) -> tuple[dict[int, int], float]:
             if total < best - 1e-18:
                 best, best_map = total, {rows[j]: j for j in range(m)}
     return best_map, best
+
+
+def sinkhorn_plain(cost, mu, nu, epsilon: float, tol: float,
+                   max_iters: int = 100_000) -> tuple[np.ndarray | None, int]:
+    """(plan, sweeps) of the textbook log-domain Sinkhorn loop at one fixed
+    epsilon, or (None, max_iters) if it does not converge.
+
+    Epsilon acts on cost / max|cost|, as in `transport.sinkhorn`, so both
+    aim at the same fixed point. Each sweep updates v then u and builds the
+    whole plan; it stops once every row and column sum is within tol.
+    """
+    cost = [[float(c) for c in row] for row in np.asarray(cost)]
+    n, m = len(cost), len(cost[0])
+    scale = max(abs(c) for row in cost for c in row) or 1.0
+    k = [[-c / scale / epsilon for c in row] for row in cost]
+
+    def lse(xs):
+        top = max(xs)
+        return top + math.log(sum(math.exp(x - top) for x in xs))
+
+    u = [0.0] * n
+    for sweep in range(1, max_iters + 1):
+        v = [math.log(nu[j]) - lse([k[i][j] + u[i] for i in range(n)]) for j in range(m)]
+        u = [math.log(mu[i]) - lse([k[i][j] + v[j] for j in range(m)]) for i in range(n)]
+        plan = [[math.exp(k[i][j] + u[i] + v[j]) for j in range(m)] for i in range(n)]
+        rows = max(abs(sum(plan[i]) - mu[i]) for i in range(n))
+        cols = max(abs(sum(plan[i][j] for i in range(n)) - nu[j]) for j in range(m))
+        if max(rows, cols) < tol:
+            return np.array(plan), sweep
+    return None, max_iters
 
 
 # ---------------------------------------------------------------------------

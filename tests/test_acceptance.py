@@ -59,7 +59,7 @@ def test_criterion_1_sinkhorn_recovers_brute_force_optimum():
         n = int(rng.integers(2, 9))
         cost = rng.random((n, n))
         prob = OTProblem(cost, uniform_marginals(n), uniform_marginals(n))
-        tp = sinkhorn(prob, 1e-4, 800, 1e-6, anneal=True)
+        tp = sinkhorn(prob, 1e-4, 800, 1e-6)
         rounded = float(sum(cost[i, j] for i, j in round_plan(tp.plan)))
         gap = abs(rounded - _brute_min_sum(cost))
         worst = max(worst, gap)

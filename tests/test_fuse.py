@@ -174,12 +174,23 @@ def test_fusion_block_zero_input_is_spatially_constant():
 def test_fusion_block_validation():
     rng = np.random.default_rng(317)
     params = FusionBlockParams.random(4, rng=rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="params expect 4 input channels, tensor has 3"):
         fusion_block(rand_ft(rng, (1, 3, 6, 6)), params)   # odd channels
     with pytest.raises(ValueError):
         fusion_block(rand_ft(rng, (1, 6, 6, 6)), params)   # mismatched split
     with pytest.raises(ValueError):
         FusionBlockParams.random(5, rng=rng)
+
+
+def test_fusion_block_params_reject_an_uneven_split():
+    # a 1 + 2 channel split is refused when the block is built, not later
+    rng = np.random.default_rng(319)
+    merge = random_conv_params(4, 4, rng=rng, kernel=1)
+    conv_a = random_conv_params(1, 2, rng=rng, kernel=1)
+    conv_b = random_conv_params(2, 2, rng=rng, kernel=1)
+    with pytest.raises(ValueError, match="branch convs must take equal halves of the "
+                                         "channels, got 1 and 2"):
+        FusionBlockParams(conv_a, None, conv_b, None, merge)
 
 
 def test_fusion_block_merge_conv_shape_enforced():

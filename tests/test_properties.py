@@ -16,6 +16,7 @@ from detnum.boxes import AABox, iou, iou_matrix
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value, mks_loss
 from detnum.metrics import DetectionRecord, confusion_counts, evaluate
 from detnum.robustness import GrayImage, set_brightness_result
+from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn, uniform_marginals
 
 from helpers import brightness_exact, eval_brute, frac_iou
 
@@ -190,7 +191,9 @@ FLOAT_MAX = Fraction(sys.float_info.max)
 @given(gray_images, gray_targets)
 def test_brightness_is_exact_or_saturated(px, target):
     img = GrayImage(px)
-    assume(img.mean > 0.0)        # a zero mean takes the additive fallback
+    # an all-zero image takes the additive fallback; a mean that underflows
+    # to 0 (subnormal pixels) does not
+    assume(np.any(px > 0.0))
     exact = brightness_exact(px, target)
     if exact is None:
         res = set_brightness_result(img, target)
@@ -212,4 +215,32 @@ def test_brightness_is_exact_or_saturated(px, target):
     # target / mean cannot clip one) takes one pass: the plain rescale
     if scale * Fraction(float(px.max())) <= 255 * (1 - Fraction(1, 10**9)):
         assert res.iterations == 1
-        assert np.array_equal(res.image.pixels, px * (target / img.mean))
+        if img.mean > 0.0:
+            assert np.array_equal(res.image.pixels, px * (target / img.mean))
+
+
+# small problems on unit-scale costs, with epsilons from well below the
+# default (warm-started) to well above it and budgets short enough that many
+# solves stop unconverged
+costs = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+               elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+sinkhorn_tols = st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12])
+
+
+def _uniform(cost):
+    return OTProblem(cost, uniform_marginals(cost.shape[0]), uniform_marginals(cost.shape[1]))
+
+
+@settings(fixed, max_examples=300)
+@given(costs, st.floats(1e-4, 1.0), st.integers(1, 300), sinkhorn_tols)
+def test_sinkhorn_converged_plan_is_within_tol(cost, epsilon, max_iters, tol):
+    tp = sinkhorn(_uniform(cost), epsilon, max_iters, tol)
+    if tp.converged:
+        assert tp.marginal_violation < tol
+
+
+@settings(fixed, max_examples=300)
+@given(costs, st.floats(DEFAULT_EPSILON, 1.0), st.integers(1, 300), sinkhorn_tols)
+def test_sinkhorn_at_default_epsilon_or_above_runs_at_most_max_iters(cost, epsilon,
+                                                                      max_iters, tol):
+    assert sinkhorn(_uniform(cost), epsilon, max_iters, tol).iterations <= max_iters

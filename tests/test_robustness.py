@@ -148,6 +148,29 @@ def test_set_brightness_refuses_a_scale_that_overflows():
         set_brightness_result(GrayImage(np.array([[255.0, 1e-310]])), 200.0)
 
 
+def test_set_brightness_rescales_pixels_whose_mean_underflows():
+    # the float mean of [0, 5e-324] is 0, but the image is not all zero:
+    # the exact scale (about 4e23) exists and is used
+    img = GrayImage(np.array([[0.0, 5e-324]]))
+    assert img.mean == 0.0
+    res = set_brightness_result(img, 1e-300)
+    assert not res.used_additive_fallback
+    assert res.achieved_mean == 1e-300
+    assert np.array_equal(res.image.pixels, brightness_exact(img.pixels, 1e-300)[1])
+    # a target the scale cannot reach is refused, not divided by zero
+    with pytest.raises(ValueError, match="cannot rescale to mean 1.0: the scale overflows"):
+        set_brightness_result(img, 1.0)
+
+
+def test_set_brightness_clips_a_pixel_whose_product_overflows():
+    # 255 · scale (about 7e302 · 255) overflows to inf before it clips to 255;
+    # that is the right answer, not a warning
+    img = GrayImage(np.array([[0.0, 4.03653771e-305, 255.0]]))
+    res = set_brightness_result(img, 95.0)
+    assert res.image.pixels[0, 2] == 255.0
+    assert_exact_brightness(img, 95.0, res)
+
+
 def test_set_brightness_all_zero_fallback():
     zeros = GrayImage(np.zeros((4, 4)))
     res = set_brightness_result(zeros, 77.0)
@@ -464,6 +487,12 @@ def test_pgm_reader_header_errors_name_the_file(tmp_path):
     with pytest.raises(ValueError) as info:
         read_pgm(p)
     assert str(info.value) == f"{p}: PGM size must be at least 1x1, got 0x3"
+
+
+def test_pgm_reader_maps_every_byte_to_itself_at_maxval_255(tmp_path):
+    p = tmp_path / "all.pgm"
+    p.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    assert np.array_equal(read_pgm(p).pixels, np.arange(256.0).reshape(16, 16))
 
 
 def test_pgm_reader_rescales_low_maxval(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from detnum.boxes import AABox, iou
 from detnum.transport import (
+    DEFAULT_EPSILON,
     Assignment,
     OTProblem,
     build_cost_matrix,
@@ -16,7 +17,7 @@ from detnum.transport import (
     uniform_marginals,
 )
 
-from helpers import brute_assignment, brute_injection, rand_box
+from helpers import brute_assignment, brute_injection, rand_box, sinkhorn_plain
 
 
 def uniform_problem(cost):
@@ -116,7 +117,7 @@ def test_sinkhorn_marginals_satisfied():
 
 
 def test_sinkhorn_nonconvergence_reported_not_raised():
-    tp = sinkhorn(rand_problem(np.random.default_rng(61), 5), epsilon=1e-4, max_iters=3)
+    tp = sinkhorn(rand_problem(np.random.default_rng(61), 5), epsilon=0.01, max_iters=3)
     assert not tp.converged
     assert tp.iterations == 3
 
@@ -128,7 +129,7 @@ def test_sinkhorn_objective_upper_bounds_kp_and_shrinks_with_epsilon():
         kp = exact_kp(p).objective
         gaps = []
         for eps in (0.1, 0.01, 0.001):
-            tp = sinkhorn(p, epsilon=eps, max_iters=5000, tol=1e-10, anneal=True)
+            tp = sinkhorn(p, epsilon=eps, max_iters=5000, tol=1e-10)
             gaps.append(tp.objective - kp)
         assert all(g >= -1e-9 for g in gaps)
         assert gaps[0] >= gaps[1] - 1e-9
@@ -136,13 +137,15 @@ def test_sinkhorn_objective_upper_bounds_kp_and_shrinks_with_epsilon():
         assert gaps[2] < 1e-3
 
 
-def test_sinkhorn_anneal_reaches_same_fixed_point():
-    rng = np.random.default_rng(71)
-    p = rand_problem(rng, 5)
-    plain = sinkhorn(p, epsilon=0.05, max_iters=4000, tol=1e-12)
-    warm = sinkhorn(p, epsilon=0.05, max_iters=4000, tol=1e-12, anneal=True)
-    assert plain.converged and warm.converged
-    assert np.abs(plain.plan - warm.plan).max() < 1e-9
+def test_sinkhorn_warm_start_reaches_the_plain_fixed_point():
+    # below DEFAULT_EPSILON the solve warm-starts through larger epsilons;
+    # the plain loop at the target epsilon alone must land on the same plan
+    p = rand_problem(np.random.default_rng(5), 4)
+    assert 0.009 < DEFAULT_EPSILON
+    warm = sinkhorn(p, epsilon=0.009, max_iters=5000, tol=1e-9)
+    plain, _ = sinkhorn_plain(p.cost, p.mu, p.nu, 0.009, 1e-9)
+    assert warm.converged and plain is not None
+    assert np.abs(warm.plan - plain).max() < 1e-8
 
 
 def test_sinkhorn_parameter_validation():
@@ -270,7 +273,7 @@ def test_rounded_sinkhorn_recovers_exact_monge():
     for _ in range(30):
         n = int(rng.integers(2, 7))
         p = rand_problem(rng, n)
-        tp = sinkhorn(p, epsilon=1e-4, max_iters=800, tol=1e-6, anneal=True)
+        tp = sinkhorn(p, epsilon=1e-4, max_iters=800, tol=1e-6)
         rounded = sorted(round_plan(tp.plan))
         cost = float(sum(p.cost[i, j] for i, j in rounded)) / n
         assert cost - exact_injection(p).total_cost <= 1e-6 * n
