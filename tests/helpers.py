@@ -119,9 +119,9 @@ def brute_injection(cost: np.ndarray) -> tuple[dict[int, int], float]:
 
 
 def sinkhorn_plain(cost, mu, nu, epsilon: float, tol: float,
-                   max_iters: int = 100_000) -> tuple[np.ndarray | None, int]:
-    """(plan, sweeps) of the textbook log-domain Sinkhorn loop at one fixed
-    epsilon, or (None, max_iters) if it does not converge.
+                   max_iters: int = 100_000) -> np.ndarray | None:
+    """Plan of the textbook log-domain Sinkhorn loop at one fixed epsilon,
+    or None if it does not converge within max_iters sweeps.
 
     Epsilon acts on cost / max|cost|, as in `transport.sinkhorn`, so both
     aim at the same fixed point. Each sweep updates v then u and builds the
@@ -137,15 +137,15 @@ def sinkhorn_plain(cost, mu, nu, epsilon: float, tol: float,
         return top + math.log(sum(math.exp(x - top) for x in xs))
 
     u = [0.0] * n
-    for sweep in range(1, max_iters + 1):
+    for _ in range(max_iters):
         v = [math.log(nu[j]) - lse([k[i][j] + u[i] for i in range(n)]) for j in range(m)]
         u = [math.log(mu[i]) - lse([k[i][j] + v[j] for j in range(m)]) for i in range(n)]
         plan = [[math.exp(k[i][j] + u[i] + v[j]) for j in range(m)] for i in range(n)]
         rows = max(abs(sum(plan[i]) - mu[i]) for i in range(n))
         cols = max(abs(sum(plan[i][j] for i in range(n)) - nu[j]) for j in range(m))
         if max(rows, cols) < tol:
-            return np.array(plan), sweep
-    return None, max_iters
+            return np.array(plan)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from detnum.boxes import AABox, iou, iou_matrix
@@ -233,6 +233,11 @@ def _uniform(cost):
 
 @settings(fixed, max_examples=300)
 @given(costs, st.floats(1e-4, 1.0), st.integers(1, 300), sinkhorn_tols)
+# the column test passes here while rounding leaves the plan 1.005e-12 off
+@example(np.array([[0.7678388019758179, 0.017597976477304877],
+                   [0.12982098156158361, 0.25925690652952893],
+                   [0.870091964631436, 0.32249837634659284]]),
+         0.00026802671290303634, 283, 1e-12)
 def test_sinkhorn_converged_plan_is_within_tol(cost, epsilon, max_iters, tol):
     tp = sinkhorn(_uniform(cost), epsilon, max_iters, tol)
     if tp.converged:

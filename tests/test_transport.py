@@ -137,13 +137,13 @@ def test_sinkhorn_objective_upper_bounds_kp_and_shrinks_with_epsilon():
         assert gaps[2] < 1e-3
 
 
-def test_sinkhorn_warm_start_reaches_the_plain_fixed_point():
+def test_sinkhorn_anneal_reaches_same_fixed_point():
     # below DEFAULT_EPSILON the solve warm-starts through larger epsilons;
     # the plain loop at the target epsilon alone must land on the same plan
     p = rand_problem(np.random.default_rng(5), 4)
     assert 0.009 < DEFAULT_EPSILON
     warm = sinkhorn(p, epsilon=0.009, max_iters=5000, tol=1e-9)
-    plain, _ = sinkhorn_plain(p.cost, p.mu, p.nu, 0.009, 1e-9)
+    plain = sinkhorn_plain(p.cost, p.mu, p.nu, 0.009, 1e-9)
     assert warm.converged and plain is not None
     assert np.abs(warm.plan - plain).max() < 1e-8
 
