@@ -1,4 +1,5 @@
-"""Helpers shared across modules: frozen arrays, number text, record lines.
+"""Helpers shared across modules: frozen arrays, number text, CSV tables,
+record lines.
 
 The number rules are the package's output contract: floats print as their
 shortest round-trip `repr`, non-finite values as `inf`, `-inf` and `nan`
@@ -46,6 +47,13 @@ def fmt(x) -> str:
     """One CSV cell: a scalar spelled as in JSON, strings left unquoted."""
     v = _sanitize(x)
     return v if isinstance(v, str) else json.dumps(v)
+
+
+def csv_table(header: str, rows) -> str:
+    """A header line, then one line of `fmt` cells per row; None is an
+    empty cell."""
+    return "\n".join([header, *(",".join("" if c is None else fmt(c) for c in row)
+                                 for row in rows)])
 
 
 def dumps(obj) -> str:

@@ -18,8 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._common import frozen_array
-from .tensor import (Conv2DParams, FeatureTensor, channel_pool, conv2d,
-                     hadamard, sigmoid, spatial_pool)
+from .tensor import Conv2DParams, FeatureTensor, conv2d
 
 __all__ = [
     "ChannelAttnParams", "SpatialAttnParams", "CBAMResult",
@@ -127,21 +126,19 @@ def channel_attention_weights(x: FeatureTensor, p: ChannelAttnParams) -> Feature
     """Per-channel gate w_c = σ(MLP(avgpool) + MLP(maxpool)), (n, c, 1, 1)."""
     if p.channels != x.shape[1]:
         raise ValueError(f"params expect {p.channels} channels, tensor has {x.shape[1]}")
-    avg, mx = channel_pool(x)
-    logits = _mlp(p, avg.data[:, :, 0, 0]) + _mlp(p, mx.data[:, :, 0, 0])
+    logits = _mlp(p, x.data.mean(axis=(2, 3))) + _mlp(p, x.data.max(axis=(2, 3)))
     return FeatureTensor(expit(logits)[:, :, None, None])
 
 
 def spatial_attention_map(x: FeatureTensor, p: SpatialAttnParams) -> FeatureTensor:
     """Spatial gate M_s = σ(conv([avg_c; max_c])), (n, 1, h, w)."""
-    avg, mx = spatial_pool(x)
-    stacked = FeatureTensor(np.concatenate([avg.data, mx.data], axis=1))
-    return sigmoid(conv2d(stacked, p.conv))
+    stacked = FeatureTensor(np.stack([x.data.mean(axis=1), x.data.max(axis=1)], axis=1))
+    return FeatureTensor(expit(conv2d(stacked, p.conv).data))
 
 
 def cbam(x: FeatureTensor, cp: ChannelAttnParams, sp: SpatialAttnParams) -> CBAMResult:
     """Cascaded attention: channel gate first, spatial gate on the result."""
     weights = channel_attention_weights(x, cp)
-    refined = hadamard(x, weights)
+    refined = FeatureTensor(x.data * weights.data)
     smap = spatial_attention_map(refined, sp)
-    return CBAMResult(hadamard(refined, smap), weights, smap)
+    return CBAMResult(FeatureTensor(refined.data * smap.data), weights, smap)

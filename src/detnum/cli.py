@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._common import data_lines, dumps, fmt
+from ._common import csv_table, data_lines, dumps
 from .attention import ChannelAttnParams, SpatialAttnParams, cbam
 from .boxes import AABox
 from .fuse import (BNParams, FusionBlockParams, batchnorm, fold_bn,
@@ -53,12 +53,6 @@ def _config(**kw) -> None:
 
 def _summary(**kw) -> None:
     print("# summary " + dumps(kw))
-
-
-def _table(header: str, rows) -> None:
-    print(header)
-    for row in rows:
-        print(",".join(fmt(c) for c in row))
 
 
 def _base(path) -> str | None:
@@ -138,7 +132,7 @@ def cmd_loss_compare(args) -> int:
             if not (math.isfinite(gr.value)
                     and all(math.isfinite(c) for c in gr.grad)):
                 all_finite = False
-    _table("pair,kind,value,grad_cx,grad_cy,grad_w,grad_h,singular", rows)
+    print(csv_table("pair,kind,value,grad_cx,grad_cy,grad_w,grad_h,singular", rows))
     _summary(n_pairs=len(pairs), kinds=kinds, all_finite=all_finite,
              passed=all_finite)
     return 0 if all_finite else 1
@@ -172,7 +166,7 @@ def cmd_match(args) -> int:
             "unmatched_predictions": list(res.assignment.unmatched_predictions),
         }))
     else:
-        _table("pred,gt,angle_cost,distance_cost,shape_cost,iou_cost,total", rows)
+        print(csv_table("pred,gt,angle_cost,distance_cost,shape_cost,iou_cost,total", rows))
     _summary(n_preds=len(preds), n_gts=len(gts),
              total_cost=res.assignment.total_cost,
              unmatched_predictions=list(res.assignment.unmatched_predictions),
@@ -219,9 +213,10 @@ def cmd_match_verify(args) -> int:
     passed = info.pop("passed")
     info["unmatched_predictions"] = len(res.assignment.unmatched_predictions)
     n, m = res.problem.n, res.problem.m
-    _table("quantity,value", [("n", n), ("m", m), ("monge_feasible", n == m), *info.items(),
-                              ("sinkhorn_objective", res.plan.objective),
-                              ("sinkhorn_iterations", res.plan.iterations)])
+    rows = [("n", n), ("m", m), ("monge_feasible", n == m), *info.items(),
+            ("sinkhorn_objective", res.plan.objective),
+            ("sinkhorn_iterations", res.plan.iterations)]
+    print(csv_table("quantity,value", rows))
     _summary(converged=res.plan.converged, passed=passed, **info)
     return 0 if passed else 1
 
@@ -386,7 +381,7 @@ def cmd_fuse_check(args) -> int:
         worst = max(worst, diff)
         passed += int(ok)
         rows.append((t, kind, diff, ok))
-    _table("trial,kind,max_abs_diff,ok", rows)
+    print(csv_table("trial,kind,max_abs_diff,ok", rows))
     all_ok = passed == args.trials
     _summary(trials=args.trials, passed=passed, max_diff=worst, tol=args.tol,
              seed=args.seed, all_passed=all_ok)
@@ -441,7 +436,7 @@ def cmd_gradcheck(args) -> int:
         ok = checked > 0 and max_err[kind] < args.tol
         all_ok &= ok
         rows.append((kind, checked, excluded[kind], max_err[kind], ok))
-    _table("kind,pairs_checked,excluded,max_rel_err,ok", rows)
+    print(csv_table("kind,pairs_checked,excluded,max_rel_err,ok", rows))
     _summary(trials=args.trials, step=args.step, tol=args.tol,
              all_passed=all_ok, seed=args.seed)
     return 0 if all_ok else 1
@@ -480,7 +475,7 @@ def cmd_attn_demo(args) -> int:
         ("spatial_map", float(m.min()), float(m.max()), float(m.mean())),
         ("output", float(y.min()), float(y.max()), float(y.mean())),
     ]
-    _table("quantity,min,max,mean", rows)
+    print(csv_table("quantity,min,max,mean", rows))
     shape_ok = res.output.shape == x.shape
     range_ok = bool((w > 0).all() and (w < 1).all() and (m > 0).all() and (m < 1).all())
     if args.out:

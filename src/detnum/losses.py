@@ -201,17 +201,21 @@ def _check_kind(kind: str) -> str:
 # public loss values
 # ---------------------------------------------------------------------------
 
-def mks_loss(p: AABox, g: AABox, negative_iou: float,
+def mks_loss(p: AABox, g: AABox, negative_iou=None,
              theta: float = DEFAULT_THETA) -> LossBreakdown:
     """Composite loss with full per-component breakdown.
 
-    negative_iou is supplied by the matching stage (or the caller); on
-    equal-cardinality uniform matching it equals 1 − IoU(p, g). Each field
-    equals `loss_value` of the kind of the same name, bit for bit.
+    negative_iou=None is the collapsed factor 1 − IoU(p, g), which is what
+    equal-cardinality uniform matching gives; a number is taken as a
+    constant, as in `loss_value`. The breakdown's negative_iou is the
+    factor used, and each field equals `loss_value` of the kind of the same
+    name, bit for bit.
     """
     theta = _check_theta(theta)
-    negative_iou = _check_negative_iou(float(negative_iou))
+    negative_iou = _check_negative_iou(negative_iou)
     lam, delta, omega, iuc, total = _mks_terms(p, g, theta, negative_iou)
+    if negative_iou is None:
+        negative_iou = iuc
     return LossBreakdown(angle_cost=lam, distance_cost=delta, shape_cost=omega,
                          iou_cost=iuc, negative_iou=negative_iou, total=total)
 

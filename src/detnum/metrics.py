@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._common import data_lines, dumps, fmt
+from ._common import csv_table, data_lines, dumps
 from .boxes import AABox, iou as _box_iou
 
 __all__ = [
@@ -224,13 +224,9 @@ def parse_record_file(path) -> list[DetectionRecord]:
 
 
 def report_to_csv(report: EvalReport) -> str:
-    lines = ["class_id,n_gt,tp,fp,fn,precision,recall,ap"]
-    for c in report.per_class:
-        ap = "" if c.ap is None else fmt(c.ap)
-        lines.append(",".join([
-            str(c.class_id), str(c.n_gt), str(c.tp), str(c.fp), str(c.fn),
-            fmt(c.precision), fmt(c.recall), ap]))
-    return "\n".join(lines)
+    return csv_table("class_id,n_gt,tp,fp,fn,precision,recall,ap",
+                     [(c.class_id, c.n_gt, c.tp, c.fp, c.fn, c.precision, c.recall, c.ap)
+                      for c in report.per_class])
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._common import fmt, frozen_array
+from ._common import csv_table, frozen_array
 
 __all__ = [
     "GrayImage", "BrightnessResult", "SweepConfig", "SweepEntry",
@@ -315,10 +315,8 @@ def _assemble_bands(entries) -> tuple[RobustnessBand, ...]:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["level,psnr_db,outcome"]
-    for e in result.entries:
-        lines.append(f"{fmt(e.level)},{fmt(e.psnr_db)},{e.outcome}")
-    return "\n".join(lines)
+    return csv_table("level,psnr_db,outcome",
+                     [(e.level, e.psnr_db, e.outcome) for e in result.entries])
 
 
 def bands_to_json(result: SweepResult) -> list[dict]:

@@ -1,10 +1,10 @@
 """Minimal rank-4 tensor values and the dense ops behind attention/fusion.
 
 A FeatureTensor is an immutable (batch, channel, height, width) float64
-array. The operators here are the handful needed downstream — 2-d
-cross-correlation as im2col + one BLAS GEMM per kernel row (Chellapilla,
-Puri & Simard 2006), channel/spatial pooling, sigmoid, broadcast products —
-plus a tiny named-array blob format for CLI round-trips.
+array. The one operator here is 2-d cross-correlation as im2col + one BLAS
+GEMM per kernel row (Chellapilla, Puri & Simard 2006); pooling, sigmoid and
+products are plain NumPy on `.data` where they are used. A tiny named-array
+blob format serves CLI round-trips.
 
 Blob layout (little-endian throughout):
 
@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from ._common import frozen_array
 
 __all__ = [
     "FeatureTensor", "Conv2DParams",
-    "conv2d", "channel_pool", "spatial_pool", "sigmoid", "hadamard",
+    "conv2d",
     "write_blob", "read_blob", "read_tensor_blob",
 ]
 
@@ -131,31 +130,6 @@ def conv2d(x: FeatureTensor, p: Conv2DParams) -> FeatureTensor:
     for i in range(kh):
         out += np.tensordot(windows[..., i, :], p.weights[:, :, i], axes=([1, 4], [1, 2]))
     return FeatureTensor(out.transpose(0, 3, 1, 2))
-
-
-def channel_pool(x: FeatureTensor) -> tuple[FeatureTensor, FeatureTensor]:
-    """Per-channel spatial (avg, max): both (n, c, 1, 1)."""
-    return (FeatureTensor(x.data.mean(axis=(2, 3), keepdims=True)),
-            FeatureTensor(x.data.max(axis=(2, 3), keepdims=True)))
-
-
-def spatial_pool(x: FeatureTensor) -> tuple[FeatureTensor, FeatureTensor]:
-    """Across-channel (avg, max) maps: both (n, 1, h, w)."""
-    return (FeatureTensor(x.data.mean(axis=1, keepdims=True)),
-            FeatureTensor(x.data.max(axis=1, keepdims=True)))
-
-
-def sigmoid(x: FeatureTensor) -> FeatureTensor:
-    return FeatureTensor(expit(x.data))
-
-
-def hadamard(x: FeatureTensor, m: FeatureTensor) -> FeatureTensor:
-    """Broadcast elementwise product (c×1×1 across space, 1×h×w across
-    channels, and so on); incompatible shapes are rejected."""
-    for a, b in zip(x.shape, m.shape):
-        if a != b and a != 1 and b != 1:
-            raise ValueError(f"shapes {x.shape} and {m.shape} do not broadcast")
-    return FeatureTensor(x.data * m.data)
 
 
 # ---------------------------------------------------------------------------

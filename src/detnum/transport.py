@@ -12,7 +12,7 @@ against those two optima.
 The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
 on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
 the assignment polytope), and without a Monge map (unequal cardinalities)
-the ratio is 1 by convention. `match` passes 1 − IoU to `mks_loss`.
+the ratio is 1 by convention, which is `mks_loss`'s default.
 
 Costs must be finite: `build_cost_matrix` only produces 1 − IoU in [0, 1]
 or finite siou values, so no solver handles forbidden (+inf) entries.
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from ._common import frozen_array
-from .boxes import iou as _box_iou, iou_matrix
+from .boxes import iou_matrix
 from .losses import DEFAULT_THETA, LossBreakdown, loss_value, mks_loss
 
 __all__ = [
@@ -171,8 +171,9 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     Below DEFAULT_EPSILON the potentials are warm-started by epsilon
     scaling through epsilon·3^k, …, 3·epsilon (from the first at or above
     DEFAULT_EPSILON down), 25 sweeps at most each; the fixed point is
-    unchanged. max_iters bounds the final stage; iterations count every
-    sweep, warm-up included.
+    unchanged. max_iters bounds every sweep, warm-up included, and
+    iterations counts them; a stage the budget leaves no sweep still sets
+    v, so the plan is always at the requested epsilon.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
@@ -198,7 +199,9 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
         mr = norm_cost / -eps_k
         final = si == len(stages) - 1
         lse_c = _logsumexp(mr + u[:, None], axis=0)
-        for _ in range(max_iters if final else _ANNEAL_STAGE_ITERS):
+        v = log_nu - lse_c      # the plan's v when the budget skips this stage
+        left = max_iters - iterations
+        for _ in range(left if final else min(_ANNEAL_STAGE_ITERS, left)):
             v = log_nu - lse_c
             u = log_mu - _logsumexp(mr + v[None, :], axis=1)
             lse_c = _logsumexp(mr + u[:, None], axis=0)
@@ -321,8 +324,7 @@ def match(preds, gts, config: MatchConfig | None = None) -> MatchResult:
     tp = sinkhorn(problem, cfg.epsilon, cfg.max_iters, cfg.tol)
     assignment = Assignment.from_pairs(problem.cost, round_plan(tp.plan))
     breakdowns = tuple(
-        mks_loss(preds[i], gts[j], 1.0 - _box_iou(preds[i], gts[j]), theta=cfg.theta)
-        for i, j in assignment.pairs)
+        mks_loss(preds[i], gts[j], theta=cfg.theta) for i, j in assignment.pairs)
     return MatchResult(assignment, breakdowns, tp, problem)
 
 

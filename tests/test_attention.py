@@ -8,7 +8,7 @@ from detnum.attention import (
     channel_attention_weights,
     spatial_attention_map,
 )
-from detnum.tensor import Conv2DParams, FeatureTensor, hadamard
+from detnum.tensor import Conv2DParams, FeatureTensor
 
 from helpers import channel_weights_loops, parallel_attention
 
@@ -100,8 +100,8 @@ def test_spatial_map_strictly_inside_unit_interval():
 def test_apply_spatial_zero_input_stays_zero():
     rng = np.random.default_rng(181)
     x = FeatureTensor(np.zeros((1, 2, 6, 6)))
-    y = hadamard(x, spatial_attention_map(x, SpatialAttnParams.random(7, rng=rng)))
-    assert np.all(y.data == 0.0)
+    y = x.data * spatial_attention_map(x, SpatialAttnParams.random(7, rng=rng)).data
+    assert np.all(y == 0.0)
 
 
 def test_apply_spatial_matches_manual_composition():
@@ -109,8 +109,8 @@ def test_apply_spatial_matches_manual_composition():
     x = FeatureTensor.random((2, 3, 5, 7), rng)
     sp = SpatialAttnParams.random(5, rng=rng)
     m = spatial_attention_map(x, sp)
-    want = x.data * m.data  # broadcast across channels
-    assert np.abs(hadamard(x, m).data - want).max() < 1e-15
+    want = np.stack([x.data[:, ci] * m.data[:, 0] for ci in range(3)], axis=1)
+    assert np.array_equal(x.data * m.data, want)  # the map broadcasts across channels
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_channel_weights_zero_mlp_gives_half_and_zero_output_on_zero_input():
     p = zero_channel_params(4)
     w = channel_attention_weights(x, p)
     assert np.all(w.data == 0.5)
-    assert np.all(hadamard(x, w).data == 0.0)
+    assert np.all(x.data * w.data == 0.0)
 
 
 def test_channel_weights_identical_channels_get_identical_weights():
@@ -199,9 +199,8 @@ def test_cbam_is_internally_consistent():
     cp, sp = rand_params(rng, 4)
     x = FeatureTensor.random((1, 4, 6, 6), rng)
     r = cbam(x, cp, sp)
-    refined = hadamard(x, r.channel_weights)
-    want = hadamard(refined, r.spatial_map)
-    assert np.array_equal(r.output.data, want.data)
+    refined = x.data * r.channel_weights.data
+    assert np.array_equal(r.output.data, refined * r.spatial_map.data)
     # the spatial map is computed from the refined tensor, not from x
     assert not np.allclose(r.spatial_map.data,
                            spatial_attention_map(x, sp).data)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -177,6 +178,16 @@ def test_mks_disjoint_far_apart_structure():
 def test_mks_rejects_nonfinite_negative_iou():
     with pytest.raises(ValueError):
         mks_loss(P_WORKED, G_WORKED, float("nan"))
+
+
+def test_mks_default_negative_iou_is_collapsed_one_minus_iou():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        p, g = rand_box(rng), rand_box(rng)
+        default = mks_loss(p, g)
+        assert default.negative_iou == default.iou_cost
+        explicit = mks_loss(p, g, 1.0 - iou(p, g))
+        assert [x.hex() for x in astuple(default)] == [x.hex() for x in astuple(explicit)]
 
 
 @pytest.mark.parametrize("entry", [

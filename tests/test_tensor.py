@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from detnum.attention import (
+    ChannelAttnParams,
+    SpatialAttnParams,
+    channel_attention_weights,
+    spatial_attention_map,
+)
 from detnum.tensor import (
     Conv2DParams,
     FeatureTensor,
-    channel_pool,
     conv2d,
-    hadamard,
     read_blob,
     read_tensor_blob,
-    sigmoid,
-    spatial_pool,
     write_blob,
 )
 
@@ -148,60 +150,69 @@ def test_conv_rejects_channel_mismatch_and_undersized_input():
 
 
 # ---------------------------------------------------------------------------
-# pooling / sigmoid / hadamard
+# pooling and sigmoid, as the attention gates run them on `.data`
 # ---------------------------------------------------------------------------
+
+def identity_mlp(c):
+    """Channel gate whose logits are relu(avg) + relu(max) per channel."""
+    return ChannelAttnParams(np.eye(c), np.zeros(c), np.eye(c), np.zeros(c), reduction_ratio=1)
+
+
+def pool_picker(avg_w, max_w):
+    """1x1 spatial gate whose logit is avg_w * avg_c + max_w * max_c."""
+    weights = np.array([avg_w, max_w], dtype=float).reshape(1, 2, 1, 1)
+    return SpatialAttnParams(Conv2DParams(weights, np.zeros(1)))
+
 
 def test_channel_pool_constant_input():
     x = ft(np.full((2, 3, 4, 5), 1.5))
-    avg, mx = channel_pool(x)
-    assert avg.shape == (2, 3, 1, 1)
-    assert np.all(avg.data == 1.5)
-    assert np.all(mx.data == 1.5)
+    w = channel_attention_weights(x, identity_mlp(3)).data
+    assert w.shape == (2, 3, 1, 1)
+    assert np.abs(w - sigmoid_ref(1.5 + 1.5)).max() < 1e-15
+    for avg_w, max_w in ((1.0, 0.0), (0.0, 1.0)):
+        m = spatial_attention_map(x, pool_picker(avg_w, max_w)).data
+        assert m.shape == (2, 1, 4, 5)
+        assert np.abs(m - sigmoid_ref(1.5)).max() < 1e-15
 
 
 def test_channel_pool_spike():
     a = np.zeros((1, 1, 4, 4))
     a[0, 0, 2, 3] = 8.0
-    avg, mx = channel_pool(ft(a))
-    assert avg.data[0, 0, 0, 0] == 0.5
-    assert mx.data[0, 0, 0, 0] == 8.0
+    w = channel_attention_weights(ft(a), identity_mlp(1)).data
+    assert abs(w[0, 0, 0, 0] - sigmoid_ref(0.5 + 8.0)) < 1e-15
 
 
 def test_pools_match_loop_oracles():
     rng = np.random.default_rng(131)
     x = rand_ft(rng, (3, 4, 5, 6))
-    avg, mx = channel_pool(x)
-    assert np.abs(avg.data[:, :, 0, 0] - channel_pool_loops(x.data, "avg")).max() < 1e-12
-    assert np.abs(mx.data[:, :, 0, 0] - channel_pool_loops(x.data, "max")).max() < 1e-12
-    savg, smx = spatial_pool(x)
-    assert np.abs(savg.data - spatial_pool_loops(x.data, "avg")).max() < 1e-12
-    assert np.abs(smx.data - spatial_pool_loops(x.data, "max")).max() < 1e-12
+    cp = ChannelAttnParams.random(4, 2, rng=rng)
+
+    def mlp(v):
+        return np.maximum(v @ cp.w1.T + cp.b1, 0.0) @ cp.w2.T + cp.b2
+
+    want = sigmoid_ref(mlp(channel_pool_loops(x.data, "avg"))
+                       + mlp(channel_pool_loops(x.data, "max")))
+    got = channel_attention_weights(x, cp).data
+    assert np.abs(got[:, :, 0, 0] - want).max() < 1e-12
+    for mode, picker in (("avg", pool_picker(1.0, 0.0)), ("max", pool_picker(0.0, 1.0))):
+        got = spatial_attention_map(x, picker).data
+        assert np.abs(got - sigmoid_ref(spatial_pool_loops(x.data, mode))).max() < 1e-12
+    sp = SpatialAttnParams.random(5, rng=rng)
+    stacked = np.concatenate([spatial_pool_loops(x.data, "avg"),
+                              spatial_pool_loops(x.data, "max")], axis=1)
+    want = sigmoid_ref(conv2d_loops(stacked, sp.conv.weights, sp.conv.bias, padding=(2, 2)))
+    assert np.abs(spatial_attention_map(x, sp).data - want).max() < 1e-12
 
 
 def test_sigmoid_at_zero_and_oracle():
-    z = ft(np.zeros((1, 1, 2, 2)))
-    assert np.all(sigmoid(z).data == 0.5)
+    z = ft(np.zeros((1, 2, 2, 2)))
+    assert np.all(channel_attention_weights(z, identity_mlp(2)).data == 0.5)
+    assert np.all(spatial_attention_map(z, pool_picker(1.0, 1.0)).data == 0.5)
+    # on one channel the across-channel mean is the input itself
     rng = np.random.default_rng(137)
-    x = rand_ft(rng, (2, 3, 4, 4), scale=3.0)
-    assert np.abs(sigmoid(x).data - sigmoid_ref(x.data)).max() < 1e-15
-
-
-def test_hadamard_ones_identity_and_broadcast():
-    rng = np.random.default_rng(139)
-    x = rand_ft(rng, (2, 3, 4, 4))
-    ones = FeatureTensor(np.ones((2, 3, 4, 4)))
-    assert np.array_equal(hadamard(x, ones).data, x.data)
-    # channel weights broadcast over space
-    w = FeatureTensor(np.arange(6, dtype=float).reshape(2, 3, 1, 1))
-    got = hadamard(x, w).data
-    for bi in range(2):
-        for ci in range(3):
-            assert np.abs(got[bi, ci] - x.data[bi, ci] * w.data[bi, ci, 0, 0]).max() < 1e-15
-
-
-def test_hadamard_rejects_incompatible_shapes():
-    with pytest.raises(ValueError):
-        hadamard(ft(np.zeros((1, 3, 4, 4))), ft(np.zeros((1, 2, 4, 4))))
+    x = rand_ft(rng, (2, 1, 4, 4), scale=3.0)
+    got = spatial_attention_map(x, pool_picker(1.0, 0.0)).data
+    assert np.abs(got - sigmoid_ref(x.data)).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,16 @@ def test_sinkhorn_nonconvergence_reported_not_raised():
     assert tp.iterations == 3
 
 
+def test_sinkhorn_budget_bounds_warm_up_at_tiny_epsilon():
+    # ε = 1e-300 warm-starts through about 625 stages; the 50-sweep budget
+    # covers them all, and the unconverged plan is reported, not raised
+    p = rand_problem(np.random.default_rng(0), 4)
+    tp = sinkhorn(p, epsilon=1e-300, max_iters=50)
+    assert tp.iterations == 50
+    assert not tp.converged
+    assert np.isfinite(tp.plan).all()
+
+
 def test_sinkhorn_objective_upper_bounds_kp_and_shrinks_with_epsilon():
     rng = np.random.default_rng(67)
     for _ in range(5):
