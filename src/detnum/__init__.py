@@ -7,7 +7,7 @@ losses      angle/distance/shape/IoU cost components, composite and baseline
             box losses, analytic gradients
 transport   discrete Monge-Kantorovich matching (Sinkhorn-Knopp + exact
             small-instance solvers)
-tensor      minimal rank-4 tensor values, conv/pool/sigmoid ops, blob IO
+tensor      minimal rank-4 tensor values, conv2d, blob IO
 attention   channel + spatial attention and the cascaded composition
 fuse        batch-norm folding and a two-path fusion block
 metrics     precision / recall / AP / mAP over scored detections
