@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -61,10 +61,8 @@ def dumps(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True)
 
 
-def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+def data_lines(lines: Iterable[str]) -> list[tuple[int, list[str]]]:
     """(1-based line number, whitespace-split fields) of every line that is
     neither blank nor a '#' comment."""
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if fields and not fields[0].startswith("#"):
-            yield lineno, fields
+    return [(lineno, fields) for lineno, fields in enumerate(map(str.split, lines), start=1)
+            if fields and fields[0][0] != "#"]

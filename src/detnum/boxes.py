@@ -7,7 +7,7 @@ the intersection/union ratio asymmetrically).
 
 A box is its (cx, cy, w, h) tuple, so the geometry is written once:
 `corners`, `overlap` and `enclosure` take such tuples of floats or
-`dual.Dual`s, and `iou_matrix` repeats `overlap` op for op on arrays.
+`dual.Dual`s, and `iou_pairs` repeats `overlap` op for op on (…, 4) arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dual as dm
 
-__all__ = ["AABox", "corners", "overlap", "enclosure", "iou", "iou_matrix"]
+__all__ = ["AABox", "corners", "overlap", "enclosure", "iou", "iou_pairs", "iou_matrix"]
 
 
 def corners(f):
@@ -52,9 +52,9 @@ def enclosure(pf, gf):
 class AABox(namedtuple("AABox", "cx cy w h")):
     """Axis-aligned box: center (cx, cy) and strictly positive size (w, h).
 
-    A validated namedtuple: degenerate zero-area boxes are rejected at
-    construction (and by `_make` and `_replace`) rather than yielding NaNs
-    downstream.
+    A validated namedtuple: its corner-space area a = (x2 − x1)(y2 − y1) needs
+    a > 0 and 2a finite, so that every union is positive and finite; construction,
+    `_make` and `_replace` refuse other boxes rather than yield NaNs downstream.
     """
 
     __slots__ = ()
@@ -71,6 +71,10 @@ class AABox(namedtuple("AABox", "cx cy w h")):
             vals.append(f)
         if vals[2] <= 0.0 or vals[3] <= 0.0:
             raise ValueError(f"AABox needs w > 0 and h > 0, got w={vals[2]}, h={vals[3]}")
+        x1, y1, x2, y2 = corners(vals)
+        if not ((area := (x2 - x1) * (y2 - y1)) > 0.0 and math.isfinite(2.0 * area)):
+            raise ValueError(f"{tuple.__new__(cls, vals)!r} has corner-space area {area!r}; "
+                             "it must be > 0 and finite when doubled")
         return tuple.__new__(cls, vals)
 
     @classmethod
@@ -88,18 +92,18 @@ def iou(p: AABox, g: AABox) -> float:
     return overlap(p, g)[0]
 
 
-def iou_matrix(preds, gts) -> np.ndarray:
-    """(len(preds), len(gts)) array of IoUs; entry [i, j] is iou(preds[i], gts[j]).
-
-    `overlap` on broadcast arrays, in the same operation order, so every
-    entry equals the scalar `iou` bit for bit.
-    """
-    p = np.array(preds, dtype=float).reshape(-1, 4)
-    g = np.array(gts, dtype=float).reshape(-1, 4)
-    px1, py1, px2, py2 = corners(p.T[:, :, None])
-    gx1, gy1, gx2, gy2 = corners(g.T[:, None, :])
+def iou_pairs(p, g) -> np.ndarray:
+    """IoUs of (…, 4) box arrays broadcast over their leading axes: `overlap`
+    op for op, so every entry equals the scalar `iou` bit for bit."""
+    px1, py1, px2, py2 = corners(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
+    gx1, gy1, gx2, gy2 = corners(np.moveaxis(np.asarray(g, dtype=float), -1, 0))
     iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
     ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
     inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
     union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
     return inter / union
+
+
+def iou_matrix(preds, gts) -> np.ndarray:
+    """(len(preds), len(gts)) array of IoUs; entry [i, j] is iou(preds[i], gts[j])."""
+    return iou_pairs(np.reshape(preds, (-1, 1, 4)), np.reshape(gts, (1, -1, 4)))

@@ -15,6 +15,7 @@ import numpy as np
 
 from detnum.attention import channel_attention_weights, spatial_attention_map
 from detnum.boxes import AABox
+from detnum.metrics import DetectionRecord
 from detnum.tensor import FeatureTensor
 
 
@@ -249,6 +250,25 @@ def parallel_attention(x, cp, sp):
 # ---------------------------------------------------------------------------
 # detection metrics
 # ---------------------------------------------------------------------------
+
+def parse_records_rowwise(lines, source="<records>"):
+    """Reference record parser: line by line, each data line through the
+    `AABox` and `DetectionRecord` constructors, stopping at the first bad
+    line with a `source:line:` error. Returns a list of `DetectionRecord`s."""
+    out = []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) not in (6, 7):
+            raise ValueError(f"{source}:{lineno}: expected 6 or 7 fields "
+                             f"(image_id class_id cx cy w h [confidence]), got {len(parts)}")
+        try:
+            out.append(DetectionRecord(parts[0], parts[1], AABox(*parts[2:6]), *parts[6:]))
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
+    return out
+
 
 def eval_brute(dets, gts, iou_threshold=0.5, method="all_points"):
     """Independent evaluator: per class, rank by confidence, greedily match,

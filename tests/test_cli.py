@@ -280,6 +280,17 @@ def test_eval_parse_error_is_line_numbered(capsys, tmp_path, eval_files):
     assert "broken.txt:2:" in err
 
 
+@pytest.mark.parametrize("command, flags", [("eval", ("--dets", "--gts")),
+                                            ("match", ("--preds", "--gts"))])
+def test_box_outside_the_area_bounds_is_a_line_numbered_error(capsys, tmp_path, command, flags):
+    # w = h = 1e-200 has a corner-space area that underflows to 0
+    recs = tmp_path / "d.txt"
+    recs.write_text("a 0 1 1 2 2 0.9\na 0 0 0 1e-200 1e-200 0.9\n")
+    code, out, err = run(capsys, command, flags[0], str(recs), flags[1], str(recs))
+    assert (code, out) == (1, "")
+    assert f"{recs}:2: AABox(cx=0.0, cy=0.0, w=1e-200, h=1e-200) has corner-space area 0.0" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -477,6 +488,21 @@ def test_every_command_is_rerun_stable(capsys, tmp_path, pairs_file,
         assert code1 == code2 == 0, argv[0]
         assert out1 == out2, argv[0]
         assert files1 == files2, argv[0]
+
+
+def test_one_parser_per_process_gives_the_stdout_of_fresh_processes(capsys, eval_files):
+    # main keeps one parser for the process; build_parser still builds anew
+    dets, gts = eval_files
+    src = str(Path(detnum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    evaluation = ("eval", "--dets", dets, "--gts", gts)
+    for argv in (evaluation, ("sweep", "--range", "18:160:10"), evaluation):
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "detnum", *argv], env=env,
+                               capture_output=True, text=True, check=True)
+        assert (code, out) == (0, fresh.stdout), argv[0]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_output_does_not_depend_on_blas_thread_count(tmp_path):

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from detnum.boxes import AABox, iou, iou_matrix
+from detnum.boxes import AABox, iou, iou_matrix, iou_pairs
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value, mks_loss
-from detnum.metrics import DetectionRecord, confusion_counts, evaluate
+from detnum.metrics import DetectionRecord, confusion_counts, evaluate, parse_records
 from detnum.robustness import GrayImage, set_brightness_result
 from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn, uniform_marginals
 
-from helpers import brightness_exact, eval_brute, frac_iou
+from helpers import brightness_exact, eval_brute, frac_iou, parse_records_rowwise
 
 fixed = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
@@ -38,9 +38,25 @@ def test_iou_is_symmetric(p, g):
     assert iou(p, g) == iou(g, p)
 
 
+# every finite centre and positive size, weighted toward magnitudes AABox accepts
+finite = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+positive = st.one_of(st.floats(1e-6, 1e6),
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
 @fixed
-@given(boxes)
-def test_iou_of_identical_boxes_is_one(b):
+@given(finite, finite, positive, positive)
+@example(0.0, 0.0, 1e200, 1e200)          # corner area overflows to inf
+@example(0.0, 0.0, 1.3e154, 1.3e154)      # area finite, twice the area is not
+@example(0.0, 0.0, 1e-200, 1e-200)        # area underflows to 0
+@example(1e10, 0.0, 1e-10, 1.0)           # corners round to equal values
+def test_iou_of_identical_boxes_is_one(cx, cy, w, h):
+    # any finite centre and positive size: AABox refuses the boxes whose
+    # IoU with themselves could not be 1.0, and every box it accepts gives 1.0
+    try:
+        b = AABox(cx, cy, w, h)
+    except ValueError:
+        assume(False)
     assert iou(b, AABox(b.cx, b.cy, b.w, b.h)) == 1.0
 
 
@@ -49,14 +65,20 @@ box_lists = st.lists(st.one_of(boxes, lattice_boxes), max_size=6)
 
 @fixed
 @given(box_lists, box_lists)
+@example([AABox(0, 0, 2, 2)], [AABox(2, 0, 2, 2), AABox(0, 0, 1, 1), AABox(0, 2, 2, 2)])
 def test_iou_matrix_equals_scalar_iou_bitwise(ps, gs):
     # gs + ps puts every prediction against an identical box; the lattice
-    # draws add edge contact and disjoint pairs
+    # draws add edge contact, nesting and disjoint pairs
     gs = gs + ps
+    want = [[iou(p, g).hex() for g in gs] for p in ps]
     m = iou_matrix(ps, gs)
     assert m.shape == (len(ps), len(gs))
-    assert [[v.hex() for v in row] for row in m.tolist()] == \
-        [[iou(p, g).hex() for g in gs] for p in ps]
+    assert [[v.hex() for v in row] for row in m.tolist()] == want
+    # the same kernel on the pair shape: row k scores ps[i] against gs[j]
+    pairs = iou_pairs(np.repeat(np.reshape(ps, (-1, 4)), len(gs), axis=0),
+                      np.tile(np.reshape(gs, (-1, 4)), (len(ps), 1)))
+    assert pairs.shape == (len(ps) * len(gs),)
+    assert [v.hex() for v in pairs.tolist()] == [v for row in want for v in row]
 
 
 @fixed
@@ -80,10 +102,13 @@ def test_mks_breakdown_equals_loss_value_of_each_kind_bitwise(p, g, niou, theta)
     assert br.negative_iou == niou
 
 
+CONFIDENCES = [0.1, 0.3, 0.5, 0.7, 0.9]
+
+
 def _records(draw, n, confidence):
     out = []
     for _ in range(n):
-        conf = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])) if confidence else 1.0
+        conf = draw(st.sampled_from(CONFIDENCES)) if confidence else 1.0
         out.append(DetectionRecord(draw(st.sampled_from("ab")), draw(st.integers(0, 1)),
                                    draw(lattice_boxes), conf))
     return out
@@ -166,6 +191,40 @@ def test_one_matching_pass_equals_per_class_brute_force(scene, threshold, method
     assert rep.map == float(want_map)
 
 
+@pytest.mark.parametrize("method", ["all_points", "11point"])
+@pytest.mark.parametrize("threshold", [0.3, 0.5])
+def test_evaluate_equals_brute_force_on_a_multi_image_scene(threshold, method):
+    # 30 images, 3 classes, confidences from a set of five: pools of up to
+    # six overlapping ground truths, duplicate and stray detections and
+    # confidence ties, beyond the eight records the drawn scenes hold. Integer centres and
+    # sizes keep every IoU a correctly rounded ratio, so the float and exact
+    # IoUs agree on every threshold comparison.
+    rng = np.random.default_rng(2020)
+    dets, gts = [], []
+    for k in range(30):
+        image = f"im{k:02d}"
+        for _ in range(rng.integers(0, 7)):
+            cls = int(rng.integers(0, 3))
+            cx, cy, w, h = (int(v) for v in rng.integers([0, 0, 2, 2], [10, 10, 9, 9]))
+            gts.append(DetectionRecord(image, cls, AABox(cx, cy, w, h)))
+            for _ in range(rng.integers(0, 3)):
+                box = AABox(cx + int(rng.integers(-1, 2)), cy + int(rng.integers(-1, 2)),
+                            w + int(rng.integers(-1, 2)), h)
+                dets.append(DetectionRecord(image, cls, box, float(rng.choice(CONFIDENCES))))
+        for _ in range(rng.integers(0, 3)):
+            box = AABox(*(int(v) for v in rng.integers([0, 0, 2, 2], [10, 10, 9, 9])))
+            dets.append(DetectionRecord(image, int(rng.integers(0, 3)), box,
+                                        float(rng.choice(CONFIDENCES))))
+    assert len(gts) > 60 and len(dets) > 60
+    want_ap, want_map, want_counts = eval_brute(dets, gts, threshold, method)
+    assert confusion_counts(dets, gts, threshold) == want_counts
+    rep = evaluate(dets, gts, threshold, method=method)
+    assert {c.class_id: (c.tp, c.fp, c.fn) for c in rep.per_class} == want_counts
+    assert {c.class_id: c.ap for c in rep.per_class} == \
+        {k: None if v is None else float(v) for k, v in want_ap.items()}
+    assert rep.map == float(want_map)
+
+
 def test_evaluate_iou_tie_goes_to_earlier_ground_truth():
     # d1 overlaps g1 and g2 equally; d2 clears the threshold on g1 only
     g1 = DetectionRecord("a", 0, AABox(0, 0, 2, 2))
@@ -175,6 +234,65 @@ def test_evaluate_iou_tie_goes_to_earlier_ground_truth():
     assert _has_iou_tie([d1, d2], [g1, g2], 0.5)
     assert evaluate([d1, d2], [g1, g2]).per_class[0].tp == 1
     assert evaluate([d1, d2], [g2, g1]).per_class[0].tp == 2
+
+
+# record lines: valid ones with 6 or 7 fields, comments and blank lines,
+# and lines with one or two fields replaced by a bad token, a wrong field
+# count, or a box on either side of the corner-area bounds
+_coord = st.one_of(st.sampled_from(["0", "1.5", "-3", "12.25"]), st.floats(-1e3, 1e3).map(repr))
+_size = st.one_of(st.sampled_from(["1", "0.5", "2.75", "1e-3"]), st.floats(0.01, 100.0).map(repr))
+_conf = st.one_of(st.sampled_from(["0", "1", "0.5", "1.0"]), st.floats(0.0, 1.0).map(repr))
+_bad = st.sampled_from(["x", "1,5", "1.5", "-0.1", "inf", "-inf", "nan", "1e400", "0", "-0.0",
+                        "-1", "1e-200", "1e200", "1.3e154", "1e10", "1e-10"])
+_area_edges = st.sampled_from([("0", "0", "1e-200", "1e-200"), ("0", "0", "1e200", "1e200"),
+                               ("0", "0", "1.3e154", "1.3e154"), ("1e10", "0", "1e-10", "1"),
+                               ("0", "0", "1e-150", "1e-150"), ("0", "0", "1e150", "1e150")])
+
+
+@st.composite
+def record_lines(draw):
+    fields = [draw(st.sampled_from(["a", "b", "img7"])), draw(st.sampled_from(["0", "1", "17"])),
+              draw(_coord), draw(_coord), draw(_size), draw(_size)]
+    fields += draw(st.sampled_from([[], [draw(_conf)]]))
+    kind = draw(st.sampled_from(["valid", "valid", "comment", "blank", "bad", "bad", "bad",
+                                 "count", "area"]))
+    if kind == "comment":
+        return "#" + draw(st.sampled_from(["", " ", " a 0 1 1 1 1"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "bad":
+        for i in draw(st.lists(st.integers(1, len(fields) - 1), min_size=1, max_size=2)):
+            fields[i] = draw(_bad)
+    elif kind == "count":
+        n = draw(st.sampled_from([1, 5, 8]))
+        fields = (fields + ["1"] * 8)[:n]
+    elif kind == "area":
+        fields[2:6] = draw(_area_edges)
+    return " ".join(fields)
+
+
+@fixed
+@given(st.lists(record_lines(), max_size=8))
+@example(["a 0 1 1 2 2", "a 0 0 0 1e200 1e200 0.5"])      # area overflows to inf
+@example(["# c", "", "a 0 0 0 1.3e154 1.3e154"])         # twice the area overflows
+@example(["a 0 1 1 2 2 0.5", "b 1 1e10 0 1e-10 1"])      # corners round to equal values
+@example(["a zero 1 1 0 2", "a 0 1 1 2 2 1.5"])          # the box is checked before the class
+@example(["a 0 1 1 2 2 x", "a 0 inf 1 1 1"])             # confidence text, then a later row
+@example(["a 0 1 1 -1 -1"])                              # both sizes negative, area positive
+@example(["a 0 1 1 2 2 1.5"])                            # confidence above 1
+@example(["a 0 1 1 2 2", "a 0 1 1 2 2 -0.1"])            # confidence below 0
+def test_record_table_equals_row_by_row_reference(lines):
+    # the same records bit for bit, or the same first error with its line
+    try:
+        want = parse_records_rowwise(lines, source="rec.txt")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_records(lines, source="rec.txt")
+        assert str(got.value) == str(exc)
+    else:
+        table = parse_records(lines, source="rec.txt")
+        assert [repr(r) for r in table] == [repr(r) for r in want]
+        assert table.box.shape == (len(want), 4) and not table.box.flags.writeable
 
 
 # small images where black and white pixels are common, so targets land on
