@@ -196,9 +196,9 @@ def test_one_matching_pass_equals_per_class_brute_force(scene, threshold, method
 def test_evaluate_equals_brute_force_on_a_multi_image_scene(threshold, method):
     # 30 images, 3 classes, confidences from a set of five: pools of up to
     # six overlapping ground truths, duplicate and stray detections and
-    # confidence ties, beyond the eight records the drawn scenes hold. Integer centres and
-    # sizes keep every IoU a correctly rounded ratio, so the float and exact
-    # IoUs agree on every threshold comparison.
+    # confidence ties, beyond the eight records the drawn scenes hold.
+    # Integer centres and sizes keep every IoU a correctly rounded ratio, so
+    # the float and exact IoUs agree on every threshold comparison.
     rng = np.random.default_rng(2020)
     dets, gts = [], []
     for k in range(30):
