@@ -15,7 +15,9 @@ is why ϵ = 0 is allowed as long as σ² + ϵ stays positive per channel.
 
 The fusion block is a unit-scale stand-in for CSP-style stages: split the
 channels in half, run each half through its own conv+BN, concatenate, and
-merge with a 1x1 conv. fold_fusion_block replaces every conv+BN pair with
+merge with a 1x1 conv. Inside the block the stages pass plain arrays
+(tensor.conv2d_nhwc), bit for bit the conv2d composition, and only the
+output is validated. fold_fusion_block replaces every conv+BN pair with
 its folded conv and leaves the BN slot empty (None); fusion_block applies a
 branch BN only where one is present, so a folded block runs no batchnorm.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._common import frozen_array
-from .tensor import Conv2DParams, FeatureTensor, conv2d
+from .tensor import Conv2DParams, FeatureTensor, conv2d, conv2d_nhwc
 
 __all__ = [
     "BNParams", "FusionBlockParams",
@@ -169,9 +171,9 @@ class FusionBlockParams:
                    branch_conv(), BNParams.random(half, rng=rng), merge)
 
 
-def _branch(x: FeatureTensor, conv: Conv2DParams, bn: BNParams | None) -> FeatureTensor:
-    y = conv2d(x, conv)
-    return y if bn is None else batchnorm(y, bn)
+def _branch(x: np.ndarray, conv: Conv2DParams, bn: BNParams | None) -> np.ndarray:
+    y = conv2d_nhwc(x, conv).transpose(0, 3, 1, 2)
+    return y if bn is None else batchnorm(FeatureTensor(y), bn).data
 
 
 def fusion_block(x: FeatureTensor, params: FusionBlockParams) -> FeatureTensor:
@@ -180,13 +182,15 @@ def fusion_block(x: FeatureTensor, params: FusionBlockParams) -> FeatureTensor:
     ca, cb = params.conv_a.in_channels, params.conv_b.in_channels
     if ca + cb != c:
         raise ValueError(f"params expect {ca + cb} input channels, tensor has {c}")
-    ya = _branch(FeatureTensor(x.data[:, :ca]), params.conv_a, params.bn_a)
-    yb = _branch(FeatureTensor(x.data[:, ca:]), params.conv_b, params.bn_b)
+    ya = _branch(x.data[:, :ca], params.conv_a, params.bn_a)
+    yb = _branch(x.data[:, ca:], params.conv_b, params.bn_b)
     if ya.shape[2:] != yb.shape[2:]:
         raise ValueError(
             f"branch outputs disagree spatially: {ya.shape[2:]} vs {yb.shape[2:]}")
-    merged = FeatureTensor(np.concatenate([ya.data, yb.data], axis=1))
-    return conv2d(merged, params.merge)
+    # one copy into C-ordered NCHW: concatenate alone keeps the branches' NHWC order
+    merged = np.empty((ya.shape[0], ya.shape[1] + yb.shape[1], *ya.shape[2:]))
+    np.concatenate([ya, yb], axis=1, out=merged)
+    return FeatureTensor(conv2d_nhwc(merged, params.merge).transpose(0, 3, 1, 2))
 
 
 def fold_fusion_block(params: FusionBlockParams) -> FusionBlockParams:

@@ -53,6 +53,7 @@ class DetectionRecord(namedtuple("DetectionRecord", "image_id class_id box confi
         conf = float(confidence)
         if not (0.0 <= conf <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {conf!r}")
+        box = box if isinstance(box, AABox) else AABox(*box)
         return tuple.__new__(cls, (str(image_id), int(class_id), box, conf))
 
     @classmethod
@@ -64,7 +65,8 @@ class DetectionRecord(namedtuple("DetectionRecord", "image_id class_id box confi
 @dataclass(frozen=True, eq=False)
 class RecordTable(Sequence):
     """Read-only record columns: `image_id` and `class_id` tuples, an (n, 4) float64
-    `box` array and a `confidence` array. Items are `DetectionRecord`s."""
+    `box` array and a `confidence` array. Items are `DetectionRecord`s; a slice
+    is a `RecordTable` of the sliced columns."""
 
     image_id: tuple[str, ...]
     class_id: tuple[int, ...]
@@ -81,7 +83,9 @@ class RecordTable(Sequence):
     def __len__(self) -> int:
         return len(self.image_id)
 
-    def __getitem__(self, i) -> DetectionRecord:
+    def __getitem__(self, i) -> DetectionRecord | RecordTable:
+        if isinstance(i, slice):
+            return RecordTable(self.image_id[i], self.class_id[i], self.box[i], self.confidence[i])
         return DetectionRecord(self.image_id[i], self.class_id[i],
                                AABox(*self.box[i].tolist()), float(self.confidence[i]))
 

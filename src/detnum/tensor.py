@@ -2,9 +2,10 @@
 
 A FeatureTensor is an immutable (batch, channel, height, width) float64
 array. The one operator here is 2-d cross-correlation as im2col + one BLAS
-GEMM per kernel row (Chellapilla, Puri & Simard 2006); pooling, sigmoid and
-products are plain NumPy on `.data` where they are used. A tiny named-array
-blob format serves CLI round-trips.
+GEMM per kernel row (Chellapilla, Puri & Simard 2006), the im2col rows copied
+once per call: conv2d_nhwc on plain arrays, conv2d on FeatureTensors. Pooling,
+sigmoid and products are plain NumPy on `.data` where they are used. A tiny
+named-array blob format serves CLI round-trips.
 
 Blob layout (little-endian throughout):
 
@@ -32,7 +33,7 @@ from ._common import frozen_array
 
 __all__ = [
     "FeatureTensor", "Conv2DParams",
-    "conv2d",
+    "conv2d", "conv2d_nhwc",
     "write_blob", "read_blob", "read_tensor_blob",
 ]
 
@@ -107,12 +108,12 @@ class Conv2DParams:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-def conv2d(x: FeatureTensor, p: Conv2DParams) -> FeatureTensor:
-    """2-d cross-correlation (no kernel flip), one GEMM per kernel row: row i
-    contracts the width-kw windows of input rows i, i+sh, ... with
-    weights[:, :, i] over (channel, kernel column), so at most 1/kh of the
-    full im2col matrix is copied at a time. The sum starts at the bias and
-    adds the kh products in row order."""
+def conv2d_nhwc(x: np.ndarray, p: Conv2DParams) -> np.ndarray:
+    """2-d cross-correlation (no kernel flip) of an (n, c, h, w) array, unvalidated,
+    in (n, oh, ow, oc) order. The width-kw windows of every padded row are copied
+    once, as an (n, hp, ow, c, kw) buffer (a view when kw == 1, as in a per-row
+    im2col); kernel row i contracts rows i, i+sh, ... of it with weights[:, :, i]
+    in one GEMM. The sum starts at the bias and adds the kh products in row order."""
     n, c, h, w = x.shape
     oc, ic, kh, kw = p.weights.shape
     if ic != c:
@@ -124,12 +125,18 @@ def conv2d(x: FeatureTensor, p: Conv2DParams) -> FeatureTensor:
         raise ValueError(
             f"kernel {kh}x{kw} with stride {p.stride} padding {p.padding} "
             f"gives empty output on {h}x{w} input")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else np.ascontiguousarray(x)
+    rows = sliding_window_view(xp, kw, axis=3)[..., ::sw, :].transpose(0, 2, 3, 1, 4)
+    rows = np.ascontiguousarray(rows) if kw > 1 else rows
     out = np.full((n, oh, ow, oc), p.bias)
     for i in range(kh):
-        out += np.tensordot(windows[..., i, :], p.weights[:, :, i], axes=([1, 4], [1, 2]))
-    return FeatureTensor(out.transpose(0, 3, 1, 2))
+        out += np.tensordot(rows[:, i:i + sh * oh:sh], p.weights[:, :, i], axes=([3, 4], [1, 2]))
+    return out
+
+
+def conv2d(x: FeatureTensor, p: Conv2DParams) -> FeatureTensor:
+    """2-d cross-correlation of a FeatureTensor; see conv2d_nhwc."""
+    return FeatureTensor(conv2d_nhwc(x.data, p).transpose(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------

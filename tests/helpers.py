@@ -12,9 +12,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from detnum.attention import channel_attention_weights, spatial_attention_map
 from detnum.boxes import AABox
+from detnum.fuse import batchnorm
 from detnum.metrics import DetectionRecord
 from detnum.tensor import FeatureTensor
 
@@ -178,6 +180,38 @@ def conv2d_loops(x, w, b, stride=(1, 1), padding=(0, 0)):
                                 acc += xp[bi, ci, oy * sh + ky, ox * sw + kx] * w[co, ci, ky, kx]
                     out[bi, co, oy, ox] = acc + (b[co] if b is not None else 0.0)
     return out
+
+
+def conv2d_rowwise(x, p):
+    """Per-kernel-row im2col cross-correlation, the bitwise oracle of
+    tensor.conv2d: pad, take the (kh, kw) window view, and let tensordot
+    copy one kernel row's im2col matrix per GEMM. Same sum order: the bias,
+    then the kh row products in row order. Takes and returns (n, c, h, w)
+    arrays."""
+    n, c, h, w = x.shape
+    oc, ic, kh, kw = p.weights.shape
+    (sh, sw), (ph, pw) = p.stride, p.padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    out = np.full((n, oh, ow, oc), p.bias)
+    for i in range(kh):
+        out += np.tensordot(windows[..., i, :], p.weights[:, :, i], axes=([1, 4], [1, 2]))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def fusion_block_rowwise(x, params):
+    """The concat composition of fuse.fusion_block on conv2d_rowwise: each
+    branch conv, its batchnorm where the slot holds one, the concatenation
+    and the 1x1 merge, every stage a C-ordered NCHW array."""
+    ca = params.conv_a.in_channels
+    parts = []
+    for xs, conv, bn in ((x[:, :ca], params.conv_a, params.bn_a),
+                         (x[:, ca:], params.conv_b, params.bn_b)):
+        y = conv2d_rowwise(xs, conv)
+        parts.append(y if bn is None else batchnorm(FeatureTensor(y), bn).data)
+    return conv2d_rowwise(np.concatenate(parts, axis=1), params.merge)
 
 
 def channel_pool_loops(x, mode):

@@ -230,6 +230,20 @@ def test_folded_fusion_block_runs_no_batchnorm(monkeypatch):
     assert calls == [params.bn_a, params.bn_b]
 
 
+@pytest.mark.parametrize("folded", [False, True], ids=["with-bn", "folded"])
+def test_fusion_block_refuses_a_branch_that_overflows(folded):
+    # the branches run on plain arrays, so the inf reaches either a batchnorm
+    # or the merge; both end in the same refusal as a validated branch output
+    rng = np.random.default_rng(359)
+    params = FusionBlockParams.random(4, rng=rng)
+    huge = Conv2DParams(np.full((2, 2, 3, 3), 1e200), np.zeros(2), stride=1, padding=1)
+    params = FusionBlockParams(huge, params.bn_a, params.conv_b, params.bn_b, params.merge)
+    x = FeatureTensor(np.full((1, 4, 5, 5), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^FeatureTensor entries must be finite$"):
+        fusion_block(x, fold_fusion_block(params) if folded else params)
+
+
 def test_fold_fusion_block_forward_equivalence():
     rng = np.random.default_rng(347)
     for channels in (2, 4, 6):

@@ -8,6 +8,7 @@ from detnum.boxes import AABox
 from detnum.metrics import (
     ClassCounts,
     DetectionRecord,
+    RecordTable,
     confusion_counts,
     evaluate,
     mean_ap,
@@ -377,3 +378,38 @@ def test_detection_record_validation():
         DetectionRecord("a", 0, B1, 1.5)
     with pytest.raises(ValueError):
         DetectionRecord("a", 0, B1, -0.1)
+
+
+@pytest.mark.parametrize("box, message", [
+    ((0.0, 0.0, 0.0, 0.0), "AABox needs w > 0 and h > 0, got w=0.0, h=0.0"),
+    ((0.0, 0.0, 1e-200, 1e-200), "AABox(cx=0.0, cy=0.0, w=1e-200, h=1e-200) has corner-space "
+                                 "area 0.0; it must be > 0 and finite when doubled"),
+], ids=["zero-size", "zero-area"])
+def test_record_builds_its_box_through_aabox(box, message):
+    # a degenerate tuple box used to reach the IoU kernel: evaluate(r, r)
+    # warned of a 0/0 divide and scored a NaN IoU
+    with pytest.raises(ValueError) as exc:
+        r = [DetectionRecord("a", 0, box, 0.5)]
+        evaluate(r, r)
+    assert str(exc.value) == message
+    assert det("a", 0, (2, 2, 2, 2)).box == B1
+    assert det("a", 0, B1).box is B1
+
+
+RECORD_LINES = [f"img{k % 3} {k % 2} {k}.5 {2 * k} {k + 1} 2.25 {k / 10}" for k in range(8)]
+
+
+@pytest.mark.parametrize("s", [
+    slice(0, 2), slice(None), slice(2, 7, 2), slice(-3, None), slice(5, 1),
+    slice(None, None, -1), slice(6, 1, -2), slice(100, 200),
+], ids=str)
+def test_record_table_slice_is_the_table_of_the_sliced_lines(s):
+    table = parse_records(RECORD_LINES)[s]
+    want = parse_records(RECORD_LINES[s])
+    assert isinstance(table, RecordTable)
+    assert len(table) == len(want) == len(RECORD_LINES[s])
+    assert table.image_id == want.image_id
+    assert table.class_id == want.class_id
+    assert table.box.shape == want.box.shape and np.array_equal(table.box, want.box)
+    assert np.array_equal(table.confidence, want.confidence)
+    assert list(table) == list(want)

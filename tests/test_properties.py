@@ -13,12 +13,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from detnum.boxes import AABox, iou, iou_matrix, iou_pairs
+from detnum.fuse import BNParams, FusionBlockParams, fold_fusion_block, fusion_block, random_conv_params
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value, mks_loss
 from detnum.metrics import DetectionRecord, confusion_counts, evaluate, parse_records
 from detnum.robustness import GrayImage, set_brightness_result
+from detnum.tensor import Conv2DParams, FeatureTensor, conv2d
 from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn, uniform_marginals
 
-from helpers import brightness_exact, eval_brute, frac_iou, parse_records_rowwise
+from helpers import (
+    brightness_exact,
+    conv2d_rowwise,
+    eval_brute,
+    frac_iou,
+    fusion_block_rowwise,
+    parse_records_rowwise,
+)
 
 fixed = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
@@ -367,3 +376,62 @@ def test_sinkhorn_converged_plan_is_within_tol(cost, epsilon, max_iters, tol):
 def test_sinkhorn_runs_at_most_max_iters(cost, epsilon, max_iters, tol):
     # warm-up sweeps below DEFAULT_EPSILON count against the same budget
     assert sinkhorn(_uniform(cost), epsilon, max_iters, tol).iterations <= max_iters
+
+
+# convolution geometries: square and non-square kernels (kw == 1 included,
+# which reads the input windows uncopied), both strides, zero and non-zero
+# padding, and inputs from the smallest one with a nonempty output (oh == 1)
+# upward
+kernel_sides = st.sampled_from([1, 2, 3, 5, 7])
+
+
+@st.composite
+def conv_geometries(draw, max_channels=70):
+    kh, kw = draw(kernel_sides), draw(kernel_sides)
+    ph, pw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return dict(
+        n=draw(st.integers(1, 2)), c=draw(st.integers(1, max_channels)),
+        oc=draw(st.integers(1, 70)), kernel=(kh, kw),
+        stride=(draw(st.integers(1, 2)), draw(st.integers(1, 2))), padding=(ph, pw),
+        h=max(1, kh - 2 * ph) + draw(st.integers(0, 12)),
+        w=max(1, kw - 2 * pw) + draw(st.integers(0, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _geometry(n, c, h, w, oc, kernel, stride=(1, 1), padding=(0, 0), seed=0):
+    return dict(n=n, c=c, h=h, w=w, oc=oc, kernel=kernel, stride=stride, padding=padding, seed=seed)
+
+
+@fixed
+@given(conv_geometries())
+@example(_geometry(1, 16, 8, 8, 16, (1, 1)))                   # a fusion merge
+@example(_geometry(1, 51, 4, 13, 23, (1, 1), seed=8))   # copying a 1x1's operand changes bits
+@example(_geometry(2, 9, 6, 6, 70, (1, 1), (1, 2), (1, 0), seed=2))
+@example(_geometry(1, 7, 4, 9, 3, (3, 1), (2, 1), (0, 0), seed=3))
+@example(_geometry(1, 2, 1, 5, 1, (7, 7), (1, 1), (3, 3), seed=4))  # oh == 1
+@example(_geometry(2, 70, 2, 2, 70, (2, 2), (2, 2), (0, 0), seed=5))  # oh == ow == 1
+def test_conv2d_is_bitwise_the_rowwise_kernel(g):
+    rng = np.random.default_rng(g["seed"])
+    x = FeatureTensor(rng.normal(size=(g["n"], g["c"], g["h"], g["w"])))
+    p = Conv2DParams(rng.normal(size=(g["oc"], g["c"], *g["kernel"])), rng.normal(size=g["oc"]),
+                     g["stride"], g["padding"])
+    assert np.array_equal(conv2d(x, p).data, conv2d_rowwise(x.data, p))
+
+
+@fixed
+@given(conv_geometries(max_channels=35), st.integers(1, 40), st.integers(1, 40))
+@example(_geometry(1, 8, 16, 16, 16, (3, 3), padding=(1, 1)), 8, 8)  # the benchmark's level 0
+@example(_geometry(2, 3, 6, 5, 7, (1, 1), seed=1), 4, 5)
+@example(_geometry(1, 1, 1, 1, 1, (1, 1), seed=2), 1, 1)
+def test_fusion_block_is_bitwise_the_concat_composition(g, a_out, b_out):
+    # branches of width g["c"] with a_out and b_out outputs, merged to g["oc"];
+    # checked with their batchnorms and folded
+    rng = np.random.default_rng(g["seed"])
+    conv_a, conv_b = (random_conv_params(g["c"], k, rng=rng, kernel=g["kernel"], stride=g["stride"],
+                                         padding=g["padding"]) for k in (a_out, b_out))
+    merge = random_conv_params(a_out + b_out, g["oc"], rng=rng, kernel=1)
+    params = FusionBlockParams(conv_a, BNParams.random(a_out, rng=rng),
+                               conv_b, BNParams.random(b_out, rng=rng), merge)
+    x = FeatureTensor(rng.normal(size=(g["n"], 2 * g["c"], g["h"], g["w"])))
+    for p in (params, fold_fusion_block(params)):
+        assert np.array_equal(fusion_block(x, p).data, fusion_block_rowwise(x.data, p))
