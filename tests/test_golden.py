@@ -47,6 +47,14 @@ CASES = {
     "sweep-noise": ["sweep", "--mode", "noise", "--image", "{in}/frame.pgm",
                     "--range", "0:0.04:0.01", "--fine-step", "0.005",
                     "--outcomes", "{in}/outcomes.txt"],
+    "sweep-noise-mean": ["sweep", "--mode", "noise", "--noise-axis", "mean",
+                         "--image", "{in}/frame.pgm", "--range", "0:0.2:0.05",
+                         "--fine-step", "0.025", "--profile=-1:0.05:0.1",
+                         "--out-dir", "{out}/frames"],
+    "sweep-noise-var": ["sweep", "--mode", "noise", "--noise-axis", "var",
+                        "--image", "{in}/frame.pgm", "--range", "0:0.02:0.005",
+                        "--fine-step", "0.0025", "--profile=-1:0:0.005",
+                        "--format", "json"],
     "sweep-json": ["sweep", "--image", "{in}/frame.pgm", "--range", "20:120:50",
                    "--profile", "30:60:100", "--format", "json"],
     "fuse-check": ["fuse-check", "--trials", "20"],
