@@ -4,7 +4,9 @@ Grayscale images carry real-valued pixels on the 0..255 scale (quantization
 to 8 bits happens only at IO time). Brightness is *mean luminance*, set
 exactly by the multiplicative rescale that solves the clamped mean; an
 unreachable target saturates every nonzero pixel. Gaussian noise is
-injected on the normalized [0, 1] scale and PSNR uses MAX = 1 on it.
+injected on the normalized [0, 1] scale and PSNR uses MAX = 1 on it. Every
+level of a noise sweep reseeds, so the sweep draws one N(0, 1) field z and
+maps level (mean, var) to the noise mean + √var·z.
 
 A sweep evaluates an external scorer (clean / miss / fail per level) on a
 coarse grid, then refines every outcome transition at the fine step so band
@@ -48,10 +50,9 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.size == 0:
             raise ValueError(f"pixels must be a non-empty 2-d array, got shape {px.shape}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("pixels must be finite")
-        if px.min() < 0.0 or px.max() > 255.0:
-            raise ValueError("pixels must lie in [0, 255]")
+        if not (px.min() >= 0.0 and px.max() <= 255.0):   # also false with a NaN
+            raise ValueError("pixels must lie in [0, 255]" if np.all(np.isfinite(px))
+                             else "pixels must be finite")
         object.__setattr__(self, "pixels", frozen_array(px))
 
     @property
@@ -129,17 +130,21 @@ def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResul
     return BrightnessResult(result, result.mean, passes, False)
 
 
+def _noisy(normalized: np.ndarray, z: np.ndarray, mean: float, var: float) -> GrayImage:
+    """normalized + N(mean, var) noise from the N(0, 1) field z, clamped."""
+    return GrayImage(np.clip(normalized + (mean + math.sqrt(var) * z), 0.0, 1.0) * 255.0)
+
+
 def add_gaussian_noise(img: GrayImage, mean: float, var: float, seed=0) -> GrayImage:
-    """Seeded Gaussian noise on the normalized scale, clamped to range."""
-    mean = float(mean)
-    var = float(var)
+    """Seeded Gaussian noise on the normalized scale, clamped to range: mean + √var·z
+    for z = default_rng(seed).standard_normal(shape), bit for bit rng.normal's draw."""
+    mean, var = float(mean), float(var)
     if var < 0.0:
         raise ValueError(f"var must be >= 0, got {var!r}")
     if var == 0.0 and mean == 0.0:
         return img
-    rng = np.random.default_rng(seed)
-    x = img.normalized + rng.normal(mean, math.sqrt(var), size=img.pixels.shape)
-    return GrayImage(np.clip(x, 0.0, 1.0) * 255.0)
+    z = np.random.default_rng(seed).standard_normal(img.pixels.shape)
+    return _noisy(img.normalized, z, mean, var)
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:
@@ -253,14 +258,6 @@ def _noise_params(cfg: SweepConfig, level: float) -> tuple[float, float]:
     return 0.0, level
 
 
-def _degrade(img: GrayImage, cfg: SweepConfig, level: float):
-    if cfg.mode == "brightness":
-        res = set_brightness_result(img, level)
-        return res.image, res.achieved_mean
-    mean, var = _noise_params(cfg, level)
-    return add_gaussian_noise(img, mean, var, seed=cfg.seed), None
-
-
 def sweep(img: GrayImage, cfg: SweepConfig,
           scorer: Callable[[float, GrayImage], str]) -> SweepResult:
     """Coarse pass, fine refinement at every outcome transition, banding.
@@ -268,13 +265,28 @@ def sweep(img: GrayImage, cfg: SweepConfig,
     scorer(level, degraded_image) must return one of clean/miss/fail.
     Non-monotone outcome sequences are banded as-is — every contiguous run
     becomes its own band, so the same outcome may own several intervals.
+    Noise mode draws one N(0, 1) field z per sweep, at its first level other than
+    (0, 0), and maps level (mean, var) to add_gaussian_noise's mean + √var·z.
     """
     evaluated: dict[float, SweepEntry] = {}
+    field = []   # noise mode: img.normalized and z
+
+    def degrade(level: float):
+        if cfg.mode == "brightness":
+            res = set_brightness_result(img, level)
+            return res.image, res.achieved_mean
+        mean, var = _noise_params(cfg, level)
+        if mean == 0.0 and var == 0.0:
+            return img, None
+        if not field:
+            z = np.random.default_rng(cfg.seed).standard_normal(img.pixels.shape)
+            field.extend((img.normalized, z))
+        return _noisy(*field, mean, var), None
 
     def run(level: float):
         if level in evaluated:
             return
-        degraded, achieved = _degrade(img, cfg, level)
+        degraded, achieved = degrade(level)
         outcome = scorer(level, degraded)
         if outcome not in OUTCOMES:
             raise ValueError(f"scorer returned {outcome!r}; expected one of {OUTCOMES}")

@@ -398,6 +398,21 @@ def brightness_exact(pixels, target):
 
 
 # ---------------------------------------------------------------------------
+# noise
+# ---------------------------------------------------------------------------
+
+def noisy_reference(img, mean, var, seed):
+    """The pixels of img after a fresh draw of N(mean, var) noise from
+    default_rng(seed): rng.normal added on the [0, 1] scale, clamped, back on
+    0..255. (0, 0) adds nothing and leaves the pixels as they are."""
+    if mean == 0.0 and var == 0.0:
+        return img.pixels
+    rng = np.random.default_rng(seed)
+    x = img.pixels / 255.0 + rng.normal(mean, math.sqrt(var), size=img.pixels.shape)
+    return np.clip(x, 0.0, 1.0) * 255.0
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

@@ -16,7 +16,8 @@ from detnum.boxes import AABox, iou, iou_matrix, iou_pairs
 from detnum.fuse import BNParams, FusionBlockParams, fold_fusion_block, fusion_block, random_conv_params
 from detnum.losses import GRADIENT_KINDS, loss_gradient, loss_value, mks_loss
 from detnum.metrics import DetectionRecord, confusion_counts, evaluate, parse_records
-from detnum.robustness import GrayImage, set_brightness_result
+from detnum.robustness import (GrayImage, SweepConfig, add_gaussian_noise, psnr,
+                               set_brightness_result, sweep)
 from detnum.tensor import Conv2DParams, FeatureTensor, conv2d
 from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn, uniform_marginals
 
@@ -26,6 +27,7 @@ from helpers import (
     eval_brute,
     frac_iou,
     fusion_block_rowwise,
+    noisy_reference,
     parse_records_rowwise,
 )
 
@@ -344,6 +346,59 @@ def test_brightness_is_exact_or_saturated(px, target):
         assert res.iterations == 1
         if img.mean > 0.0:
             assert np.array_equal(res.image.pixels, px * (target / img.mean))
+
+
+# noise levels from the sweeps' range up to 1e3, down to 1e-300 and exactly 0
+noise_magnitudes = st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.0, 1e3),
+                             st.floats(0.0, 1e-300))
+noise_means = st.one_of(noise_magnitudes, noise_magnitudes.map(lambda m: -m))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(fixed, max_examples=500)
+@given(gray_images, noise_means, noise_magnitudes, seeds)
+@example(np.full((2, 3), 127.5), 0.0, 0.0, 42)          # (0, 0) returns the image itself
+@example(np.full((2, 3), 127.5), 0.01, 0.0, 42)         # a mean shift without noise
+@example(np.full((20, 16), 127.5), 0.01, 0.01, 42)      # the joint axis of the CLI tests
+def test_add_gaussian_noise_is_bitwise_the_fresh_draw(px, mean, var, seed):
+    img = GrayImage(px)
+    assert np.array_equal(add_gaussian_noise(img, mean, var, seed=seed).pixels,
+                          noisy_reference(img, mean, var, seed))
+
+
+@st.composite
+def noise_sweeps(draw):
+    """(image, config, threshold): a small noise sweep whose scorer turns
+    from clean to miss at threshold, so some coarse interval is refined."""
+    img = GrayImage(draw(gray_images))
+    coarse = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    lo = draw(st.sampled_from([0.0, 0.0, 0.005]))
+    hi = lo + draw(st.integers(0, 4)) * coarse
+    fine = coarse / draw(st.sampled_from([2, 4, 5]))
+    cfg = SweepConfig("noise", lo, hi, coarse, fine, draw(st.sampled_from(["joint", "mean", "var"])),
+                      draw(seeds))
+    return img, cfg, draw(st.floats(lo, hi + coarse))
+
+
+_AXES = {"joint": lambda lv: (lv, lv), "mean": lambda lv: (lv, 0.0), "var": lambda lv: (0.0, lv)}
+
+
+@settings(fixed, max_examples=300)
+@given(noise_sweeps())
+def test_noise_sweep_scores_the_fresh_draw_at_every_level(case):
+    img, cfg, threshold = case
+    seen = {}
+
+    def scorer(level, degraded):
+        seen[level] = degraded
+        return "clean" if level < threshold else "miss"
+
+    result = sweep(img, cfg, scorer)
+    assert sorted(seen) == [e.level for e in result.entries]
+    for e in result.entries:
+        want = noisy_reference(img, *_AXES[cfg.noise_axis](e.level), cfg.seed)
+        assert np.array_equal(seen[e.level].pixels, want)
+        assert e.psnr_db == psnr(img, GrayImage(want))
 
 
 # small problems on unit-scale costs, with epsilons from well below the

@@ -42,6 +42,20 @@ def test_gray_image_validation():
         GrayImage(np.full((2, 2), np.nan))
 
 
+@pytest.mark.parametrize("pixels, message", [
+    ([[0.0, np.inf]], "pixels must be finite"),
+    ([[-np.inf, 1.0]], "pixels must be finite"),
+    ([[np.nan, 1.0]], "pixels must be finite"),
+    ([[np.nan, -0.5]], "pixels must be finite"),    # a NaN beside an out-of-range value
+    ([[-0.5, 300.0, np.nan]], "pixels must be finite"),
+    ([[-0.5, 1.0]], r"pixels must lie in \[0, 255\]"),
+    ([[0.0, 255.5]], r"pixels must lie in \[0, 255\]"),
+])
+def test_gray_image_names_the_fault(pixels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GrayImage(np.array(pixels))
+
+
 def test_gray_image_views():
     img = GrayImage(np.array([[0.4, 254.6], [127.5, 10.0]]))
     assert img.height == 2 and img.width == 2
