@@ -372,7 +372,7 @@ def noise_sweeps(draw):
     from clean to miss at threshold, so some coarse interval is refined."""
     img = GrayImage(draw(gray_images))
     coarse = draw(st.sampled_from([0.01, 0.02, 0.05]))
-    lo = draw(st.sampled_from([0.0, 0.0, 0.005]))
+    lo = draw(st.sampled_from([0.0, 0.005]))
     hi = lo + draw(st.integers(0, 4)) * coarse
     fine = coarse / draw(st.sampled_from([2, 4, 5]))
     cfg = SweepConfig("noise", lo, hi, coarse, fine, draw(st.sampled_from(["joint", "mean", "var"])),
