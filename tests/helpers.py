@@ -397,6 +397,53 @@ def brightness_exact(pixels, target):
     raise AssertionError(f"no piece holds target {target!r}")
 
 
+def brightness_reference(pixels, target):
+    """(pixels, achieved_mean, iterations, used_additive_fallback) of the
+    piecewise-linear brightness solve, written out with a fresh array for
+    every step and every scan of the source repeated: the float operations
+    of `set_brightness_result` in their order, so that a faster version can
+    be checked against it bit for bit. Raises ValueError where it refuses
+    (a scale that overflows)."""
+    px = np.array(pixels, dtype=np.float64)
+    t = float(target)
+    current = float(px.mean())
+    n, nonzero = px.size, np.count_nonzero(px > 0.0)
+    if nonzero == 0:
+        if t <= 0.0:
+            return px, 0.0, 0, False
+        flat = np.full_like(px, t)
+        return flat, float(flat.mean()), 0, True
+    if t <= 0.0:
+        return np.zeros_like(px), 0.0, 1, False
+    if t * n >= 255.0 * nonzero:
+        result = np.where(px > 0.0, 255.0, 0.0)
+        return result, float(result.mean()), 1, False
+    if current > 0.0:
+        scale, limit = t / current, 255.0 * current / t
+    else:
+        scale = t * n / float(px.sum())
+        limit = 255.0 / scale
+    clipped, passes, under = 0, 1, px <= limit
+    while clipped < (k := n - int(np.count_nonzero(under))) < nonzero:
+        scale = (t * n - 255.0 * k) / float((px * under).sum())
+        clipped, passes, under = k, passes + 1, px <= 255.0 / scale
+    if scale == math.inf:
+        raise ValueError(f"cannot rescale to mean {t!r}: the scale overflows")
+    with np.errstate(over="ignore"):
+        result = np.minimum(px * scale, 255.0)
+    return result, float(result.mean()), passes, False
+
+
+def psnr_reference(a, b):
+    """10·log10(255²·N / Σ(a − b)²) of two pixel arrays, out of place;
+    math.inf when they are equal."""
+    diff = np.asarray(a) - np.asarray(b)
+    sumsq = float(np.sum(diff * diff))
+    if sumsq <= 0.0:
+        return math.inf
+    return 10.0 * math.log10(255.0 * 255.0 * diff.size / sumsq)
+
+
 # ---------------------------------------------------------------------------
 # noise
 # ---------------------------------------------------------------------------

@@ -23,12 +23,14 @@ from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn, uniform_margi
 
 from helpers import (
     brightness_exact,
+    brightness_reference,
     conv2d_rowwise,
     eval_brute,
     frac_iou,
     fusion_block_rowwise,
     noisy_reference,
     parse_records_rowwise,
+    psnr_reference,
 )
 
 fixed = settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -348,6 +350,34 @@ def test_brightness_is_exact_or_saturated(px, target):
             assert np.array_equal(res.image.pixels, px * (target / img.mean))
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bytes: tells -0.0 from 0.0, unlike ==."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(fixed, max_examples=500)
+@given(gray_images, gray_targets)
+@example(np.zeros((2, 3)), 0.0)                     # all zero, left as it is
+@example(np.zeros((2, 3)), 7.5)                     # the additive fallback
+@example(np.array([[0.0, 255.0, 3.0]]), 0.0)        # blanked
+@example(np.array([[0.0, 5e-324]]), 1e-300)         # the mean underflows to 0
+@example(np.array([[0.0, 5e-324]]), 1.0)            # the scale overflows: refused
+@example(np.array([[1.0, 2.0, 250.0, 255.0]]), 120.0)   # clips over several passes
+def test_brightness_equals_the_reference_bit_for_bit(px, target):
+    try:
+        want, achieved, iterations, fallback = brightness_reference(px, target)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            set_brightness_result(GrayImage(px), target)
+        assert str(got.value) == str(exc)
+        return
+    res = set_brightness_result(GrayImage(px), target)
+    assert same_bits(res.image.pixels, want)
+    assert same_bits(res.achieved_mean, achieved)
+    assert res.iterations == iterations and res.used_additive_fallback == fallback
+
+
 # noise levels from the sweeps' range up to 1e3, down to 1e-300 and exactly 0
 noise_magnitudes = st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.0, 1e3),
                              st.floats(0.0, 1e-300))
@@ -399,6 +429,70 @@ def test_noise_sweep_scores_the_fresh_draw_at_every_level(case):
         want = noisy_reference(img, *_AXES[cfg.noise_axis](e.level), cfg.seed)
         assert np.array_equal(seen[e.level].pixels, want)
         assert e.psnr_db == psnr(img, GrayImage(want))
+
+
+# frames whose nonzero pixels are at least 1, so no level of a brightness
+# sweep asks for a scale past the largest float (refusal is checked above)
+frame_images = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
+                      elements=st.one_of(st.sampled_from([0.0, 255.0]), st.floats(1.0, 255.0)))
+
+
+@st.composite
+def brightness_sweeps(draw):
+    """(image, config, threshold): a small brightness sweep whose scorer turns
+    from clean to miss at threshold, so some coarse interval is refined."""
+    img = GrayImage(draw(frame_images))
+    coarse = draw(st.sampled_from([20.0, 40.0, 64.0]))
+    lo = draw(st.sampled_from([0.0, 10.0]))
+    hi = lo + draw(st.integers(0, 3)) * coarse
+    fine = coarse / draw(st.sampled_from([2, 4, 5]))
+    return img, SweepConfig("brightness", lo, hi, coarse, fine), draw(st.floats(lo, hi + coarse))
+
+
+@settings(fixed, max_examples=300)
+@given(brightness_sweeps())
+def test_brightness_sweep_scores_the_reference_at_every_level(case):
+    img, cfg, threshold = case
+    seen = {}
+
+    def scorer(level, degraded):
+        seen[level] = degraded
+        return "clean" if level < threshold else "miss"
+
+    result = sweep(img, cfg, scorer)
+    assert sorted(seen) == [e.level for e in result.entries]
+    for e in result.entries:
+        want, achieved, _, _ = brightness_reference(img.pixels, e.level)
+        assert same_bits(seen[e.level].pixels, want)
+        assert same_bits(e.achieved_mean, achieved)
+        assert same_bits(e.psnr_db, psnr_reference(img.pixels, want))
+
+
+@settings(fixed, max_examples=200)
+@given(st.one_of(brightness_sweeps(), noise_sweeps()))
+def test_sweep_images_are_read_only_and_share_no_memory(case):
+    # a buffer reused across levels would change a held image after scoring
+    img, cfg, threshold = case
+    seen = {}
+
+    def scorer(level, degraded):
+        assert not degraded.pixels.flags.writeable
+        seen[level] = degraded
+        return "clean" if level < threshold else "miss"
+
+    sweep(img, cfg, scorer)
+    # noise level (0, 0), and level 0 of an all-zero image, hand over the
+    # source itself; every other level has pixels of its own
+    held = [d.pixels for d in seen.values() if d is not img]
+    for i, a in enumerate(held):
+        assert not np.shares_memory(a, img.pixels)
+        assert not any(np.shares_memory(a, b) for b in held[i + 1:])
+    for level, degraded in seen.items():
+        if cfg.mode == "brightness":
+            want = brightness_reference(img.pixels, level)[0]
+        else:
+            want = noisy_reference(img, *_AXES[cfg.noise_axis](level), cfg.seed)
+        assert same_bits(degraded.pixels, want)
 
 
 # small problems on unit-scale costs, with epsilons from well below the

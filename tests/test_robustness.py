@@ -523,3 +523,13 @@ def test_pgm_reader_rejects_byte_above_maxval(tmp_path):
     p.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 255]))
     with pytest.raises(ValueError, match=r"over\.pgm: pixel value 255 exceeds maxval 15"):
         read_pgm(p)
+
+
+def test_pgm_reader_scales_every_maxval_bit_for_bit(tmp_path):
+    p = tmp_path / "every.pgm"
+    for maxval in range(1, 256):
+        raw = np.arange(maxval + 1, dtype=np.uint8).reshape(1, -1)
+        p.write_bytes(f"P5\n{maxval + 1} 1\n{maxval}\n".encode("ascii") + raw.tobytes())
+        got = read_pgm(p).pixels
+        assert got.shape == raw.shape
+        assert got.tobytes() == (raw * 255.0 / maxval).tobytes(), maxval
