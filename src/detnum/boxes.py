@@ -95,8 +95,13 @@ def iou(p: AABox, g: AABox) -> float:
 def iou_pairs(p, g) -> np.ndarray:
     """IoUs of (…, 4) box arrays broadcast over their leading axes: `overlap`
     op for op, so every entry equals the scalar `iou` bit for bit."""
-    px1, py1, px2, py2 = corners(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
-    gx1, gy1, gx2, gy2 = corners(np.moveaxis(np.asarray(g, dtype=float), -1, 0))
+    return _iou_fields(*(np.moveaxis(np.asarray(b, dtype=float), -1, 0) for b in (p, g)))
+
+
+def _iou_fields(p, g) -> np.ndarray:
+    """`iou_pairs` on (4, …) operands, (cx, cy, w, h) first."""
+    px1, py1, px2, py2 = corners(p)
+    gx1, gy1, gx2, gy2 = corners(g)
     iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
     ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
     inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
@@ -106,4 +111,5 @@ def iou_pairs(p, g) -> np.ndarray:
 
 def iou_matrix(preds, gts) -> np.ndarray:
     """(len(preds), len(gts)) array of IoUs; entry [i, j] is iou(preds[i], gts[j])."""
-    return iou_pairs(np.reshape(preds, (-1, 1, 4)), np.reshape(gts, (1, -1, 4)))
+    p, g = (np.asarray(b, dtype=float).reshape(-1, 4).T for b in (preds, gts))
+    return _iou_fields(p[:, :, None], g[:, None, :])

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -55,6 +57,14 @@ class GrayImage:
                              else "pixels must be finite")
         object.__setattr__(self, "pixels", frozen_array(px))
 
+    @classmethod
+    def _own(cls, px: np.ndarray) -> GrayImage:
+        """Take over px, fresh float64 in [0, 255] by construction: no copy, no scan."""
+        px.flags.writeable = False
+        img = object.__new__(cls)
+        object.__setattr__(img, "pixels", px)
+        return img
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -63,9 +73,13 @@ class GrayImage:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @property
+    @cached_property
     def mean(self) -> float:
         return float(self.pixels.mean())
+
+    @cached_property
+    def _nonzero(self) -> int:
+        return int(np.count_nonzero(self.pixels > 0.0))
 
     @property
     def quantized(self) -> np.ndarray:
@@ -100,47 +114,55 @@ def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResul
     if not (0.0 <= t <= 255.0):
         raise ValueError(f"target_gray must lie in [0, 255], got {t!r}")
     px, current = img.pixels, img.mean
-    n, nonzero = px.size, np.count_nonzero(px > 0.0)
+    n, nonzero = px.size, img._nonzero
     if nonzero == 0:
         if t <= 0.0:
             return BrightnessResult(img, 0.0, 0, False)
-        flat = GrayImage(np.full_like(px, t))
+        flat = GrayImage._own(np.full_like(px, t))
         return BrightnessResult(flat, flat.mean, 0, True)
     if t <= 0.0:
-        return BrightnessResult(GrayImage(np.zeros_like(px)), 0.0, 1, False)
+        return BrightnessResult(GrayImage._own(np.zeros_like(px)), 0.0, 1, False)
     if t * n >= 255.0 * nonzero:
-        result = GrayImage(np.where(px > 0.0, 255.0, 0.0))
+        result = GrayImage._own(np.where(px > 0.0, 255.0, 0.0))
         return BrightnessResult(result, result.mean, 1, False)
     if current > 0.0:
         scale, limit = t / current, 255.0 * current / t
     else:  # subnormal pixels: the mean underflows to 0, their sum does not
         scale = t * n / float(px.sum())
         limit = 255.0 / scale
-    # pixels at or below 255 / s stay unclipped at scale s
-    clipped, passes, under = 0, 1, px <= limit
+    # pixels at or below 255 / s stay unclipped at scale s; buf holds every
+    # product, the result's last
+    clipped, passes, under, buf = 0, 1, px <= limit, np.empty_like(px)
     # k == nonzero only when rounding lifts s past the last piece
     while clipped < (k := n - int(np.count_nonzero(under))) < nonzero:
-        scale = (t * n - 255.0 * k) / float((px * under).sum())
-        clipped, passes, under = k, passes + 1, px <= 255.0 / scale
+        scale = (t * n - 255.0 * k) / float(np.multiply(px, under, out=buf).sum())
+        clipped, passes = k, passes + 1
+        np.less_equal(px, 255.0 / scale, out=under)
     if scale == math.inf:
         raise ValueError(f"cannot rescale to mean {t!r}: the scale overflows")
     # a pixel far above 255 / scale may overflow to inf before it clips
     with np.errstate(over="ignore"):
-        result = GrayImage(np.minimum(px * scale, 255.0))
+        np.multiply(px, scale, out=buf)
+    result = GrayImage._own(np.minimum(buf, 255.0, out=buf))
     return BrightnessResult(result, result.mean, passes, False)
 
 
 def _noisy(normalized: np.ndarray, z: np.ndarray, mean: float, var: float) -> GrayImage:
-    """normalized + N(mean, var) noise from the N(0, 1) field z, clamped."""
-    return GrayImage(np.clip(normalized + (mean + math.sqrt(var) * z), 0.0, 1.0) * 255.0)
+    """normalized + N(mean, var) noise from the N(0, 1) field z, clamped; in
+    one buffer, each step the commutated twin of normalized + (mean + √var·z)."""
+    out = np.multiply(z, math.sqrt(var))
+    np.add(np.add(out, mean, out=out), normalized, out=out)
+    return GrayImage._own(np.multiply(np.clip(out, 0.0, 1.0, out=out), 255.0, out=out))
 
 
 def add_gaussian_noise(img: GrayImage, mean: float, var: float, seed=0) -> GrayImage:
     """Seeded Gaussian noise on the normalized scale, clamped to range: mean + √var·z
     for z = default_rng(seed).standard_normal(shape), bit for bit rng.normal's draw."""
     mean, var = float(mean), float(var)
-    if var < 0.0:
-        raise ValueError(f"var must be >= 0, got {var!r}")
+    if math.isnan(mean):   # ±inf saturates; NaN would reach the pixels
+        raise ValueError(f"mean must not be NaN, got {mean!r}")
+    if not 0.0 <= var < math.inf:   # inf·0 at z == 0 would be NaN
+        raise ValueError(f"var must be finite and >= 0, got {var!r}")
     if var == 0.0 and mean == 0.0:
         return img
     z = np.random.default_rng(seed).standard_normal(img.pixels.shape)
@@ -152,7 +174,7 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     if a.pixels.shape != b.pixels.shape:
         raise ValueError(f"shape mismatch: {a.pixels.shape} vs {b.pixels.shape}")
     diff = a.pixels - b.pixels
-    sumsq = float(np.sum(diff * diff))
+    sumsq = float(np.multiply(diff, diff, out=diff).sum())
     if sumsq <= 0.0:
         return math.inf
     # MAX^2/MSE is scale invariant; evaluating it on the raw 0..255 scale
@@ -312,18 +334,9 @@ def sweep(img: GrayImage, cfg: SweepConfig,
 
 
 def _assemble_bands(entries) -> tuple[RobustnessBand, ...]:
-    bands = []
-    start = None
-    prev = None
-    for e in entries:
-        if prev is None or e.outcome != prev.outcome:
-            if prev is not None:
-                bands.append(RobustnessBand(prev.outcome, (start.level, prev.level)))
-            start = e
-        prev = e
-    if prev is not None:
-        bands.append(RobustnessBand(prev.outcome, (start.level, prev.level)))
-    return tuple(bands)
+    """One band per maximal run of equal outcomes, from its first level to its last."""
+    runs = (list(run) for _, run in groupby(entries, key=lambda e: e.outcome))
+    return tuple(RobustnessBand(r[0].outcome, (r[0].level, r[-1].level)) for r in runs)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -389,6 +402,6 @@ def read_pgm(path) -> GrayImage:
     top = int(px.max())
     if top > maxval:
         raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
-    # integer products are exact, so maxval itself maps to exactly 255.0,
-    # and at maxval 255 every byte maps to itself
-    return GrayImage(px * 255.0 / maxval)
+    # integer products are exact, so maxval itself maps to exactly 255.0 (and,
+    # rounding being monotone, no byte above it), at maxval 255 every byte to itself
+    return GrayImage._own(px * 255.0 / maxval)

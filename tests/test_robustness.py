@@ -241,6 +241,27 @@ def test_noise_rejects_negative_var():
         add_gaussian_noise(synthetic_gray(42), 0.0, -0.1)
 
 
+@pytest.mark.parametrize("mean, var, message", [
+    (math.nan, 0.01, "mean must not be NaN, got nan"),
+    (math.nan, 0.0, "mean must not be NaN, got nan"),
+    (0.0, math.nan, "var must be finite and >= 0, got nan"),
+    (0.0, math.inf, "var must be finite and >= 0, got inf"),
+    (math.inf, math.inf, "var must be finite and >= 0, got inf"),
+    (0.0, -0.1, "var must be finite and >= 0, got -0.1"),
+])
+def test_noise_names_the_argument_it_refuses(mean, var, message):
+    with pytest.raises(ValueError) as info:
+        add_gaussian_noise(synthetic_gray(42), mean, var, seed=1)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("var", [0.0, 0.01, 1e300])
+def test_noise_with_an_infinite_mean_saturates(var):
+    img = synthetic_gray(42)
+    assert np.all(add_gaussian_noise(img, math.inf, var, seed=1).pixels == 255.0)
+    assert np.all(add_gaussian_noise(img, -math.inf, var, seed=1).pixels == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # psnr
 # ---------------------------------------------------------------------------
