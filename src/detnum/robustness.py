@@ -148,8 +148,8 @@ def set_brightness_result(img: GrayImage, target_gray: float) -> BrightnessResul
 
 
 def _noisy(normalized: np.ndarray, z: np.ndarray, mean: float, var: float) -> GrayImage:
-    """normalized + N(mean, var) noise from the N(0, 1) field z, clamped; in
-    one buffer, each step the commutated twin of normalized + (mean + √var·z)."""
+    """normalized + N(mean, var) noise from the N(0, 1) field z, clamped: the
+    steps of normalized + (mean + √var·z), operands swapped, in one buffer."""
     out = np.multiply(z, math.sqrt(var))
     np.add(np.add(out, mean, out=out), normalized, out=out)
     return GrayImage._own(np.multiply(np.clip(out, 0.0, 1.0, out=out), 255.0, out=out))
