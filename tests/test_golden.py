@@ -32,6 +32,8 @@ CASES = {
                    "--cost", "siou"],
     "match-eps-0.005": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt",
                         "--epsilon", "0.005"],
+    "match-eps-1e-12": ["match", "--preds", "{in}/preds.txt", "--gts", "{in}/gts.txt",
+                        "--epsilon", "1e-12"],
     "match-verify-5": ["match-verify", "--random", "5"],
     "match-verify-3x2": ["match-verify", "--random", "3:2"],
     "match-verify-9x8": ["match-verify", "--random", "9:8"],
