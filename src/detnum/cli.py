@@ -286,6 +286,8 @@ def _parse_profile(text: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.outcomes and args.profile:
+        raise ValueError("sweep takes --outcomes or --profile, not both")
     if args.image:
         img = robustness.read_pgm(args.image)
     else:

@@ -173,6 +173,8 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     """Peak signal-to-noise ratio in dB; identical images give math.inf."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError(f"shape mismatch: {a.pixels.shape} vs {b.pixels.shape}")
+    if a is b:
+        return math.inf
     diff = a.pixels - b.pixels
     sumsq = float(np.multiply(diff, diff, out=diff).sum())
     if sumsq <= 0.0:
@@ -315,8 +317,6 @@ def sweep(img: GrayImage, cfg: SweepConfig,
         evaluated[level] = SweepEntry(level, psnr(img, degraded), outcome, achieved)
 
     coarse = grid_levels(cfg.lo, cfg.hi, cfg.coarse_step)
-    if not coarse:
-        return SweepResult(cfg, (), ())
     for lv in coarse:
         run(lv)
     for a, b in zip(coarse, coarse[1:]):

@@ -1,12 +1,14 @@
 """Discrete Monge-Kantorovich matching between box sets.
 
-Builds box-to-box cost matrices (1 − IoU by default), solves the
-entropic-regularized Kantorovich problem with a log-domain Sinkhorn-Knopp
-iteration (warm-started by epsilon scaling below `DEFAULT_EPSILON`), and
+Every box carries the same mass, so an `OTProblem` is its cost matrix:
+its marginals are uniform by construction. Builds box-to-box cost matrices
+(1 − IoU by default), solves the entropic-regularized Kantorovich problem
+with a log-domain Sinkhorn-Knopp iteration (warm-started by epsilon scaling
+below `DEFAULT_EPSILON`, and refusing epsilon below `MIN_EPSILON`), and
 provides exact solvers for the Kantorovich LP (`exact_kp`, up to
 `EXACT_CAP` points per side) and the one-to-one assignment
-(`exact_injection`, Hungarian, any shape; on square uniform problems it is
-the Monge optimum). `certify` checks the assignment that `match` rounds
+(`exact_injection`, Hungarian, any shape; on square problems it is the
+Monge optimum). `certify` checks the assignment that `match` rounds
 against those two optima.
 
 The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
@@ -14,8 +16,9 @@ on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
 the assignment polytope), and without a Monge map (unequal cardinalities)
 the ratio is 1 by convention, which is `mks_loss`'s default.
 
-Costs must be finite: `build_cost_matrix` only produces 1 − IoU in [0, 1]
-or finite siou values, so no solver handles forbidden (+inf) entries.
+Costs must be finite (`build_cost_matrix` only produces 1 − IoU in [0, 1]
+or finite siou values), and with epsilon ≥ `MIN_EPSILON` so is every
+Sinkhorn potential, so no solver handles +inf or NaN entries.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -32,26 +36,26 @@ from .boxes import iou_matrix
 from .losses import DEFAULT_THETA, LossBreakdown, loss_value, mks_loss
 
 __all__ = [
-    "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL", "EXACT_CAP",
+    "DEFAULT_EPSILON", "DEFAULT_MAX_ITERS", "DEFAULT_TOL", "EXACT_CAP", "MIN_EPSILON",
     "OTProblem", "TransportPlan", "Assignment", "MatchConfig", "MatchResult",
-    "uniform_marginals", "build_cost_matrix",
+    "build_cost_matrix",
     "sinkhorn", "exact_kp", "exact_injection", "round_plan", "match", "certify",
 ]
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-9
+MIN_EPSILON = 1e-12     # below it the stop test loses precision, then overflows
 
 EXACT_CAP = 64      # largest side exact_kp will hand to the LP
 
 
 @dataclass(frozen=True, eq=False)
 class OTProblem:
-    """A discrete transport problem: cost (n, m), source mu, target nu."""
+    """A discrete transport problem between n sources and m targets of equal
+    mass: a finite (n, m) cost, with uniform marginals mu = 1/n, nu = 1/m."""
 
     cost: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
 
     def __post_init__(self):
         cost = np.asarray(self.cost, dtype=float)
@@ -59,18 +63,7 @@ class OTProblem:
             raise ValueError(f"cost must be a nonempty 2-d matrix, got shape {cost.shape}")
         if not np.isfinite(cost).all():
             raise ValueError("cost entries must be finite")
-        mu = np.asarray(self.mu, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
-        if mu.shape != (cost.shape[0],) or nu.shape != (cost.shape[1],):
-            raise ValueError("mu/nu lengths must match the cost matrix sides")
-        for name, v in (("mu", mu), ("nu", nu)):
-            if not np.isfinite(v).all() or (v < 0).any():
-                raise ValueError(f"{name} entries must be finite and >= 0")
-            if abs(float(v.sum()) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must sum to 1 within 1e-9, got {float(v.sum())!r}")
         object.__setattr__(self, "cost", frozen_array(cost))
-        object.__setattr__(self, "mu", frozen_array(mu))
-        object.__setattr__(self, "nu", frozen_array(nu))
 
     @property
     def n(self) -> int:
@@ -80,6 +73,14 @@ class OTProblem:
     def m(self) -> int:
         return self.cost.shape[1]
 
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return frozen_array(np.full(self.n, 1.0 / self.n))
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        return frozen_array(np.full(self.m, 1.0 / self.m))
+
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
@@ -88,8 +89,8 @@ class TransportPlan:
     plan: np.ndarray
     objective: float
     marginal_violation: float
-    converged: bool = True
-    iterations: int = 0
+    converged: bool
+    iterations: int
 
     def __post_init__(self):
         object.__setattr__(self, "plan", frozen_array(self.plan))
@@ -119,15 +120,9 @@ class Assignment:
         return cls(pairs, unmatched, float(sum(cost[i, j] for i, j in pairs)) / n)
 
 
-def uniform_marginals(k: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError(f"need at least one support point, got k={k}")
-    return np.full(k, 1.0 / k)
-
-
 def build_cost_matrix(preds, gts, *, kind: str = "iou",
                       theta: float = DEFAULT_THETA) -> OTProblem:
-    """Box-to-box cost matrix with uniform marginals.
+    """Box-to-box cost matrix.
 
     kind "iou" gives entries 1 − IoU (the default matching objective);
     kind "siou" uses the full additive geometry cost instead.
@@ -142,14 +137,12 @@ def build_cost_matrix(preds, gts, *, kind: str = "iou",
         cost = [[loss_value("siou", p, g, theta=theta) for g in gts] for p in preds]
     else:
         raise ValueError(f"unknown cost kind {kind!r}; expected 'iou' or 'siou'")
-    return OTProblem(cost, uniform_marginals(len(preds)), uniform_marginals(len(gts)))
+    return OTProblem(cost)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - amax), axis=axis))
+    out = np.log(np.sum(np.exp(a - amax), axis=axis))
     return out + np.squeeze(amax, axis=axis)
 
 
@@ -175,8 +168,8 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     iterations counts them; a stage the budget leaves no sweep still sets
     v, so the plan is always at the requested epsilon.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
+    if not (math.isfinite(epsilon) and epsilon >= MIN_EPSILON):
+        raise ValueError(f"epsilon must be finite and >= {MIN_EPSILON!r}, got {epsilon!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     if not tol > 0:
@@ -189,9 +182,8 @@ def sinkhorn(problem: OTProblem, epsilon: float = DEFAULT_EPSILON,
     while stages[0] < DEFAULT_EPSILON:
         stages.insert(0, stages[0] * _ANNEAL_EPS_FACTOR)
 
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(problem.mu)
-        log_nu = np.log(problem.nu)
+    log_mu = np.log(problem.mu)
+    log_nu = np.log(problem.nu)
     u = np.zeros(problem.n)
     converged = False
     iterations = 0

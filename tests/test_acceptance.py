@@ -25,8 +25,7 @@ from detnum.metrics import DetectionRecord, evaluate
 from detnum.robustness import (GrayImage, SweepConfig, add_gaussian_noise,
                                psnr, read_pgm, sweep, synthetic_gray)
 from detnum.tensor import FeatureTensor, conv2d
-from detnum.transport import (OTProblem, exact_injection, exact_kp, round_plan,
-                              sinkhorn, uniform_marginals)
+from detnum.transport import OTProblem, exact_injection, exact_kp, round_plan, sinkhorn
 
 from helpers import eval_brute, fd_grad, parallel_attention, rand_box, rel_err
 
@@ -58,7 +57,7 @@ def test_criterion_1_sinkhorn_recovers_brute_force_optimum():
     for _ in range(total):
         n = int(rng.integers(2, 9))
         cost = rng.random((n, n))
-        prob = OTProblem(cost, uniform_marginals(n), uniform_marginals(n))
+        prob = OTProblem(cost)
         tp = sinkhorn(prob, 1e-4, 800, 1e-6)
         rounded = float(sum(cost[i, j] for i, j in round_plan(tp.plan)))
         gap = abs(rounded - _brute_min_sum(cost))
@@ -81,8 +80,7 @@ def test_criterion_2_monge_kantorovich_ratio_is_one():
     per_n: dict[int, tuple[int, float]] = {}
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        prob = OTProblem(rng.random((n, n)), uniform_marginals(n),
-                         uniform_marginals(n))
+        prob = OTProblem(rng.random((n, n)))
         mp, kp = exact_injection(prob), exact_kp(prob)
         dev = abs(mp.total_cost / kp.objective - 1.0) if kp.objective > 1e-12 else 0.0
         cnt, mx = per_n.get(n, (0, 0.0))

@@ -533,9 +533,14 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
 # "{pairs}", "{preds}", "{gts}", "{dets}", "{gt}" and "{outcomes}" are input files
 @pytest.mark.parametrize("argv, message", [
     (["loss-compare", "--pairs", "{pairs}", "--kinds", "bogus"], "unknown loss kind 'bogus'"),
-    (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"], "epsilon must be > 0"),
+    (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"],
+     "epsilon must be finite and >= 1e-12, got 0.0"),
     (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "nan"],
-     "epsilon must be > 0 and finite, got nan"),
+     "epsilon must be finite and >= 1e-12, got nan"),
+    (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "1e-300"],
+     "epsilon must be finite and >= 1e-12, got 1e-300"),
+    (["match-verify", "--random", "6", "--epsilon", "1e-300"],
+     "epsilon must be finite and >= 1e-12, got 1e-300"),
     (["match-verify", "--random", "2:65"],
      "--random 2:65: match-verify caps each side at 64 boxes, got 2x65"),
     (["match-verify", "--preds", "{many}", "--gts", "{gts}"],
@@ -547,6 +552,8 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
     (["attn-demo", "--reduction", "-1"], "reduction_ratio must be >= 1, got -1"),
     (["sweep", "--range", "0:10:10", "--fine-step", "5", "--outcomes", "{outcomes}"],
      "outcomes.txt: no entry for level 5"),
+    (["sweep", "--range", "10:10:10", "--outcomes", "{outcomes}", "--profile", "100:0:5"],
+     "sweep takes --outcomes or --profile, not both"),
     (["gradcheck", "--trials", "2", "--step", "0"], "--step must be > 0 and finite, got 0.0"),
     (["gradcheck", "--trials", "2", "--step", "nan"], "--step must be > 0 and finite, got nan"),
     (["gradcheck", "--trials", "2", "--step=-1e-5"], "--step must be > 0 and finite, got -1e-05"),
@@ -576,8 +583,10 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
     (["sweep", "--mode", "noise", "--range", "0:1e-9:1e-10", "--fine-step", "1e-13",
       "--profile", "0:5.5e-10:1"],
      "--fine-step 1e-13 is too small to tell levels apart near 1e-09: it must be at least 1e-12"),
-], ids=["loss-compare", "match", "match-epsilon-nan", "match-verify-random-65",
+], ids=["loss-compare", "match", "match-epsilon-nan", "match-epsilon-1e-300",
+        "match-verify-epsilon-1e-300", "match-verify-random-65",
         "match-verify-preds-65", "match-verify-random-and-files", "eval", "attn-demo", "sweep",
+        "sweep-outcomes-and-profile",
         "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative",
         "gradcheck-tol-nan", "fuse-check-tol-nan", "fuse-check-tol-negative",
         "sweep-fine-step-nan", "sweep-range-step-nan", "sweep-range-hi-nan",

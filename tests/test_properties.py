@@ -19,7 +19,7 @@ from detnum.metrics import DetectionRecord, confusion_counts, evaluate, parse_re
 from detnum.robustness import (GrayImage, SweepConfig, add_gaussian_noise, psnr,
                                set_brightness_result, sweep)
 from detnum.tensor import Conv2DParams, FeatureTensor, conv2d
-from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn, uniform_marginals
+from detnum.transport import DEFAULT_EPSILON, OTProblem, sinkhorn
 
 from helpers import (
     brightness_exact,
@@ -503,10 +503,6 @@ costs = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
 sinkhorn_tols = st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12])
 
 
-def _uniform(cost):
-    return OTProblem(cost, uniform_marginals(cost.shape[0]), uniform_marginals(cost.shape[1]))
-
-
 @settings(fixed, max_examples=300)
 @given(costs, st.floats(1e-4, 1.0), st.integers(1, 300), sinkhorn_tols)
 # the column test passes here while rounding leaves the plan 1.005e-12 off
@@ -515,7 +511,7 @@ def _uniform(cost):
                    [0.870091964631436, 0.32249837634659284]]),
          0.00026802671290303634, 283, 1e-12)
 def test_sinkhorn_converged_plan_is_within_tol(cost, epsilon, max_iters, tol):
-    tp = sinkhorn(_uniform(cost), epsilon, max_iters, tol)
+    tp = sinkhorn(OTProblem(cost), epsilon, max_iters, tol)
     if tp.converged:
         assert tp.marginal_violation < tol
 
@@ -524,7 +520,7 @@ def test_sinkhorn_converged_plan_is_within_tol(cost, epsilon, max_iters, tol):
 @given(costs, st.floats(1e-12, 1.0), st.integers(1, 300), sinkhorn_tols)
 def test_sinkhorn_runs_at_most_max_iters(cost, epsilon, max_iters, tol):
     # warm-up sweeps below DEFAULT_EPSILON count against the same budget
-    assert sinkhorn(_uniform(cost), epsilon, max_iters, tol).iterations <= max_iters
+    assert sinkhorn(OTProblem(cost), epsilon, max_iters, tol).iterations <= max_iters
 
 
 # convolution geometries: square and non-square kernels (kw == 1 included,
