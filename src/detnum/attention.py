@@ -7,6 +7,7 @@ two-layer MLP (c → c/r → c, ReLU between, r = 16 by default, hidden width
 clamped to at least 1), weights σ(MLP(avg) + MLP(max)) applied as x ⊗ w_c.
 
 The cascade runs channel first, then spatial on the channel-refined tensor.
+σ is SciPy's `expit`, imported on the first gate call, not at import.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from ._common import frozen_array
 from .tensor import Conv2DParams, FeatureTensor, conv2d
@@ -117,6 +117,11 @@ class CBAMResult(NamedTuple):
     spatial_map: FeatureTensor       # (n, 1, h, w)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    from scipy.special import expit
+    return expit(x)
+
+
 def _mlp(p: ChannelAttnParams, v: np.ndarray) -> np.ndarray:
     hidden = np.maximum(v @ p.w1.T + p.b1, 0.0)
     return hidden @ p.w2.T + p.b2
@@ -127,13 +132,13 @@ def channel_attention_weights(x: FeatureTensor, p: ChannelAttnParams) -> Feature
     if p.channels != x.shape[1]:
         raise ValueError(f"params expect {p.channels} channels, tensor has {x.shape[1]}")
     logits = _mlp(p, x.data.mean(axis=(2, 3))) + _mlp(p, x.data.max(axis=(2, 3)))
-    return FeatureTensor(expit(logits)[:, :, None, None])
+    return FeatureTensor(_sigmoid(logits)[:, :, None, None])
 
 
 def spatial_attention_map(x: FeatureTensor, p: SpatialAttnParams) -> FeatureTensor:
     """Spatial gate M_s = σ(conv([avg_c; max_c])), (n, 1, h, w)."""
     stacked = FeatureTensor(np.stack([x.data.mean(axis=1), x.data.max(axis=1)], axis=1))
-    return FeatureTensor(expit(conv2d(stacked, p.conv).data))
+    return FeatureTensor(_sigmoid(conv2d(stacked, p.conv).data))
 
 
 def cbam(x: FeatureTensor, cp: ChannelAttnParams, sp: SpatialAttnParams) -> CBAMResult:

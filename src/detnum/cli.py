@@ -92,8 +92,11 @@ def _parse_pairs_file(path) -> list[tuple[AABox, AABox]]:
     return pairs
 
 
-def _load_boxes(path) -> list[AABox]:
-    return [r.box for r in metrics.parse_record_file(path)]
+def _load_boxes(flag: str, path) -> list[AABox]:
+    boxes = [r.box for r in metrics.parse_record_file(path)]
+    if not boxes:
+        raise ValueError(f"{flag} {_base(path)} holds no boxes")
+    return boxes
 
 
 def _random_boxes(rng: np.random.Generator, n: int) -> list[AABox]:
@@ -149,8 +152,8 @@ def _match_config(args) -> MatchConfig:
 
 
 def cmd_match(args) -> int:
-    preds = _load_boxes(args.preds)
-    gts = _load_boxes(args.gts)
+    preds = _load_boxes("--preds", args.preds)
+    gts = _load_boxes("--gts", args.gts)
     cfg = _match_config(args)
     _config(command="match", preds=_base(args.preds), gts=_base(args.gts),
             epsilon=cfg.epsilon, iters=cfg.max_iters, tol=cfg.tol,
@@ -200,7 +203,7 @@ def cmd_match_verify(args) -> int:
     else:
         if not (args.preds and args.gts):
             raise ValueError("match-verify needs --preds/--gts or --random N[:M]")
-        preds, gts = _load_boxes(args.preds), _load_boxes(args.gts)
+        preds, gts = _load_boxes("--preds", args.preds), _load_boxes("--gts", args.gts)
         for flag, path, boxes in (("--preds", args.preds, preds), ("--gts", args.gts, gts)):
             if len(boxes) > EXACT_CAP:
                 raise ValueError(f"{flag} {_base(path)}: match-verify caps each side "
@@ -258,6 +261,8 @@ def _parse_outcomes_file(path) -> dict[float, str]:
                 level = round(float(parts[0]), 12)
             except ValueError as exc:
                 raise ValueError(f"{_base(path)}:{lineno}: {exc}") from None
+            if not math.isfinite(level):
+                raise ValueError(f"{_base(path)}:{lineno}: level must be finite, got {level}")
             if level in given_on:
                 raise ValueError(f"{_base(path)}:{lineno}: level {parts[0]} "
                                  f"already given on line {given_on[level]}")

@@ -8,8 +8,8 @@ below `DEFAULT_EPSILON`, and refusing epsilon below `MIN_EPSILON`), and
 provides exact solvers for the Kantorovich LP (`exact_kp`, up to
 `EXACT_CAP` points per side) and the one-to-one assignment
 (`exact_injection`, Hungarian, any shape; on square problems it is the
-Monge optimum). `certify` checks the assignment that `match` rounds
-against those two optima.
+Monge optimum; both import SciPy on their first call, not at import).
+`certify` checks the assignment that `match` rounds against both optima.
 
 The loss's negative-IoU factor MP/KP − IoU(p, g) collapses to 1 − IoU:
 on equal-cardinality uniform problems MP = KP (Birkhoff extremality of
@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from ._common import frozen_array
 from .boxes import iou_matrix
@@ -221,6 +220,7 @@ def _marginal_violation(plan: np.ndarray, problem: OTProblem) -> float:
 
 def exact_kp(problem: OTProblem) -> TransportPlan:
     """Exact Kantorovich optimum by linear programming (desk-scale sizes)."""
+    from scipy.optimize import linprog
     n, m = problem.n, problem.m
     if n > EXACT_CAP or m > EXACT_CAP:
         raise ValueError(f"exact_kp caps sides at {EXACT_CAP}, got {n}x{m}")
@@ -249,6 +249,7 @@ def exact_injection(problem: OTProblem) -> Assignment:
     square uniform problem this is the Monge optimum, and `certify` holds
     `match`'s pairs against it.
     """
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(problem.cost)
     return Assignment.from_pairs(problem.cost, zip(rows.tolist(), cols.tolist()))
 

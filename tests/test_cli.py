@@ -530,7 +530,8 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
 # failing commands print nothing on stdout
 # ---------------------------------------------------------------------------
 
-# "{pairs}", "{preds}", "{gts}", "{dets}", "{gt}" and "{outcomes}" are input files
+# "{pairs}", "{preds}", "{gts}", "{dets}", "{gt}", "{outcomes}" and the rest of
+# `files` below are input files; "{empty}" and "{comments}" hold no records
 @pytest.mark.parametrize("argv, message", [
     (["loss-compare", "--pairs", "{pairs}", "--kinds", "bogus"], "unknown loss kind 'bogus'"),
     (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"],
@@ -554,6 +555,26 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
      "outcomes.txt: no entry for level 5"),
     (["sweep", "--range", "10:10:10", "--outcomes", "{outcomes}", "--profile", "100:0:5"],
      "sweep takes --outcomes or --profile, not both"),
+    (["sweep", "--range", "0:10:10", "--outcomes", "{nan_outcomes}"],
+     "nan-outcomes.txt:1: level must be finite, got nan"),
+    (["sweep", "--range", "0:10:10", "--outcomes", "{inf_outcomes}"],
+     "inf-outcomes.txt:2: level must be finite, got -inf"),
+    (["match", "--preds", "{empty}", "--gts", "{gts}"],
+     "--preds empty.txt holds no boxes"),
+    (["match", "--preds", "{comments}", "--gts", "{gts}"],
+     "--preds comments.txt holds no boxes"),
+    (["match", "--preds", "{preds}", "--gts", "{empty}"],
+     "--gts empty.txt holds no boxes"),
+    (["match", "--preds", "{preds}", "--gts", "{comments}"],
+     "--gts comments.txt holds no boxes"),
+    (["match-verify", "--preds", "{empty}", "--gts", "{gts}"],
+     "--preds empty.txt holds no boxes"),
+    (["match-verify", "--preds", "{comments}", "--gts", "{gts}"],
+     "--preds comments.txt holds no boxes"),
+    (["match-verify", "--preds", "{preds}", "--gts", "{empty}"],
+     "--gts empty.txt holds no boxes"),
+    (["match-verify", "--preds", "{preds}", "--gts", "{comments}"],
+     "--gts comments.txt holds no boxes"),
     (["gradcheck", "--trials", "2", "--step", "0"], "--step must be > 0 and finite, got 0.0"),
     (["gradcheck", "--trials", "2", "--step", "nan"], "--step must be > 0 and finite, got nan"),
     (["gradcheck", "--trials", "2", "--step=-1e-5"], "--step must be > 0 and finite, got -1e-05"),
@@ -587,6 +608,9 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
         "match-verify-epsilon-1e-300", "match-verify-random-65",
         "match-verify-preds-65", "match-verify-random-and-files", "eval", "attn-demo", "sweep",
         "sweep-outcomes-and-profile",
+        "sweep-outcomes-nan", "sweep-outcomes-inf", "match-preds-empty", "match-preds-comments",
+        "match-gts-empty", "match-gts-comments", "match-verify-preds-empty",
+        "match-verify-preds-comments", "match-verify-gts-empty", "match-verify-gts-comments",
         "gradcheck-step-0", "gradcheck-step-nan", "gradcheck-step-negative",
         "gradcheck-tol-nan", "fuse-check-tol-nan", "fuse-check-tol-negative",
         "sweep-fine-step-nan", "sweep-range-step-nan", "sweep-range-hi-nan",
@@ -598,9 +622,15 @@ def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, 
     outcomes.write_text("0 fail\n10 clean\n")
     many = tmp_path / "many.txt"
     many.write_text("".join(f"im0 0 {k} 0 1 1\n" for k in range(65)))
+    texts = {"empty": "", "comments": "# no boxes\n\n# here\n",
+             "nan-outcomes": "nan fail\ninf miss\nnan clean\n",
+             "inf-outcomes": "0 fail\n-inf miss\n10 clean\n"}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
     files = {"pairs": pairs_file, "preds": match_files[0], "gts": match_files[1],
              "dets": eval_files[0], "gt": eval_files[1], "outcomes": str(outcomes),
-             "many": str(many)}
+             "many": str(many), **{name.replace("-", "_"): str(tmp_path / f"{name}.txt")
+                                   for name in texts}}
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 1
     assert out == ""
