@@ -262,7 +262,7 @@ def _parse_outcomes_file(path) -> dict[float, str]:
             except ValueError as exc:
                 raise ValueError(f"{_base(path)}:{lineno}: {exc}") from None
             if not math.isfinite(level):
-                raise ValueError(f"{_base(path)}:{lineno}: level must be finite, got {level}")
+                raise ValueError(f"{_base(path)}:{lineno}: level must be finite, got {parts[0]}")
             if level in given_on:
                 raise ValueError(f"{_base(path)}:{lineno}: level {parts[0]} "
                                  f"already given on line {given_on[level]}")

@@ -530,8 +530,8 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
 # failing commands print nothing on stdout
 # ---------------------------------------------------------------------------
 
-# "{pairs}", "{preds}", "{gts}", "{dets}", "{gt}", "{outcomes}" and the rest of
-# `files` below are input files; "{empty}" and "{comments}" hold no records
+# placeholders are the keys of `files` below, each an input file;
+# "{empty}" and "{comments}" hold no records
 @pytest.mark.parametrize("argv, message", [
     (["loss-compare", "--pairs", "{pairs}", "--kinds", "bogus"], "unknown loss kind 'bogus'"),
     (["match", "--preds", "{preds}", "--gts", "{gts}", "--epsilon", "0"],
@@ -556,9 +556,9 @@ def test_output_does_not_depend_on_blas_thread_count(tmp_path):
     (["sweep", "--range", "10:10:10", "--outcomes", "{outcomes}", "--profile", "100:0:5"],
      "sweep takes --outcomes or --profile, not both"),
     (["sweep", "--range", "0:10:10", "--outcomes", "{nan_outcomes}"],
-     "nan-outcomes.txt:1: level must be finite, got nan"),
+     "nan_outcomes.txt:1: level must be finite, got nan"),
     (["sweep", "--range", "0:10:10", "--outcomes", "{inf_outcomes}"],
-     "inf-outcomes.txt:2: level must be finite, got -inf"),
+     "inf_outcomes.txt:2: level must be finite, got -inf"),
     (["match", "--preds", "{empty}", "--gts", "{gts}"],
      "--preds empty.txt holds no boxes"),
     (["match", "--preds", "{comments}", "--gts", "{gts}"],
@@ -623,14 +623,13 @@ def test_failing_command_prints_nothing_on_stdout(capsys, tmp_path, pairs_file, 
     many = tmp_path / "many.txt"
     many.write_text("".join(f"im0 0 {k} 0 1 1\n" for k in range(65)))
     texts = {"empty": "", "comments": "# no boxes\n\n# here\n",
-             "nan-outcomes": "nan fail\ninf miss\nnan clean\n",
-             "inf-outcomes": "0 fail\n-inf miss\n10 clean\n"}
+             "nan_outcomes": "nan fail\ninf miss\nnan clean\n",
+             "inf_outcomes": "0 fail\n-inf miss\n10 clean\n"}
     for name, text in texts.items():
         (tmp_path / f"{name}.txt").write_text(text)
     files = {"pairs": pairs_file, "preds": match_files[0], "gts": match_files[1],
              "dets": eval_files[0], "gt": eval_files[1], "outcomes": str(outcomes),
-             "many": str(many), **{name.replace("-", "_"): str(tmp_path / f"{name}.txt")
-                                   for name in texts}}
+             "many": str(many), **{name: str(tmp_path / f"{name}.txt") for name in texts}}
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 1
     assert out == ""
